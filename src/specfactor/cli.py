@@ -253,7 +253,7 @@ def _build_parser() -> _Parser:
     ):
         q = osub.add_parser(name, help=helptext)
         q.add_argument("--k", type=int, required=True)
-        q.add_argument("--cap", type=int, default=14)
+        q.add_argument("--cap", type=int, default=oracle._DEFAULT_CAP)
         add_graph_arg(q)
 
     p = sub.add_parser("verify", help="run a verification campaign")
@@ -276,7 +276,7 @@ def _build_parser() -> _Parser:
     q.add_argument("--m", type=int, required=True)
     q.add_argument("--s", default="", help="known optimal S, comma-separated")
     q.add_argument("--t", default="", help="known optimal T, comma-separated")
-    q.add_argument("--cap", type=int, default=14)
+    q.add_argument("--cap", type=int, default=oracle._DEFAULT_CAP)
     add_graph_arg(q)
     q = vsub.add_parser("ordering", help="cubic root ordering report")
     q.add_argument("--r", type=int, required=True)

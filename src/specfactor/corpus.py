@@ -124,7 +124,8 @@ def enumerate_connected_regular(n: int, r: int) -> list[Graph]:
             nxt: dict[tuple, tuple[Graph, tuple[int, ...]]] = {}
             for g, defs in frontier.values():
                 picked = _completion_vertex(n, g, defs)
-                assert picked is not None
+                if picked is None:
+                    raise RuntimeError("regular completion found no vertex to extend")
                 v, cands = picked
                 need = defs[v]
                 for combo in combinations(cands, need):
@@ -238,6 +239,7 @@ def random_class_member(
         g = _pair_degrees(degrees, rng, 50)
         if g is None:
             continue
-        assert g.max_degree() == r and not g.is_regular()
+        if g.max_degree() != r or g.is_regular():
+            raise RuntimeError("sampled class member has the wrong degrees")
         return g
     raise RuntimeError("rejection budget exhausted generating a class member")

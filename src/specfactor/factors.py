@@ -98,7 +98,8 @@ def _bounded_subgraph(g: Graph, caps: Sequence[int]) -> list[tuple[int, int]]:
     picked = []
     for i, (u, v) in enumerate(edges):
         a, b = 2 * i, 2 * i + 1
-        assert match[a] != -1 or match[b] != -1, "matching not maximum"
+        if match[a] == -1 and match[b] == -1:
+            raise RuntimeError("matching not maximum")
         if match[a] not in (-1, b) and match[b] not in (-1, a):
             picked.append((u, v))
     return picked
@@ -126,7 +127,7 @@ def has_f_factor(g: Graph, spec, want_certificate: bool = False) -> FactorReport
     Existence and the factor itself come from a perfect matching in the
     slack gadget; when no factor exists the deficiency sum(f) - 2*nu is
     computed from the slot gadget.  The two agree on existence by
-    construction and that agreement is asserted.
+    construction, and a disagreement raises RuntimeError.
     """
     f = _normalize_spec(g, spec)
     fsum = sum(f)
@@ -147,19 +148,22 @@ def has_f_factor(g: Graph, spec, want_certificate: bool = False) -> FactorReport
         for u, v in factor:
             degs[u] += 1
             degs[v] += 1
-        assert degs == f, "factor does not meet its degree spec"
+        if degs != f:
+            raise RuntimeError("factor does not meet its degree spec")
         defect = 0
     else:
         nu = len(_bounded_subgraph(g, f))
         defect = fsum - 2 * nu
-        assert defect > 0, "gadgets disagree on factor existence"
+        if defect <= 0:
+            raise RuntimeError("gadgets disagree on factor existence")
 
     cert = None
     if want_certificate and g.n > 0:
         if len(set(f)) != 1:
             raise ValueError("certificates need a uniform degree spec")
         defect2, cert = oracle.brute_force_deficiency(g, f[0])
-        assert defect2 == defect, "certificate search disagrees with gadget"
+        if defect2 != defect:
+            raise RuntimeError("certificate search disagrees with gadget")
     return FactorReport(
         exists=factor is not None,
         degrees=tuple(f),

@@ -322,7 +322,7 @@ def _mask_vertices(mask: int) -> tuple[int, ...]:
 
 
 def check_lemma_3_1(
-    g: Graph, k: int, m: int, st: STPair | None = None, cap: int = 14
+    g: Graph, k: int, m: int, st: STPair | None = None, cap: int = oracle._DEFAULT_CAP
 ) -> Lemma31Result:
     """Exhibit def(G)+1 disjoint induced subgraphs with 2e(H) >= r|H| - (m-1).
 
@@ -379,7 +379,8 @@ def check_lemma_3_1(
             break
 
     for h in best:
-        assert 2 * induced_subgraph(g, h).edge_count >= r * len(h) - (m - 1)
+        if 2 * induced_subgraph(g, h).edge_count < r * len(h) - (m - 1):
+            raise RuntimeError("lemma 3.1 component fails its edge bound")
     return Lemma31Result(
         True,
         None,

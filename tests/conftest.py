@@ -13,7 +13,7 @@ import random
 import pytest
 
 from specfactor.corpus import enumerate_connected_graphs, enumerate_connected_regular
-from specfactor.graph import Graph
+from specfactor.graph import Graph, component_masks
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:
@@ -96,3 +96,63 @@ def quartic_corpus() -> list[Graph]:
     for n in (5, 6, 7, 8, 9, 10):
         out.extend(enumerate_connected_regular(n, 4))
     return out
+
+
+def reference_sweep(g: Graph, ks, collect_for=None):
+    """The sweep as a scalar loop over pairs, in the package's sweep order.
+
+    U = S u T ascends as a bitmask integer and T descends over the submasks
+    of U.  Returns (best, arg, gathered) exactly as oracle._sweep does: the
+    best -delta per k, the first pair attaining it as (S mask, T mask), and
+    for k == collect_for every optimal pair in visiting order.
+    """
+    n = g.n
+    rows = g.rows
+    deg = [r.bit_count() for r in rows]
+    full = (1 << n) - 1
+    best: dict[int, int] = {}
+    arg: dict[int, tuple[int, int]] = {}
+    gathered: list[tuple[int, int]] = []
+    for u in range(full + 1):
+        cdata = []
+        for comp in component_masks(g, full & ~u):
+            oc = 0
+            m = u
+            while m:
+                lsb = m & -m
+                if (rows[lsb.bit_length() - 1] & comp).bit_count() & 1:
+                    oc |= lsb
+                m ^= lsb
+            cdata.append((oc, comp.bit_count() & 1))
+        tsub = u
+        while True:
+            smask = u ^ tsub
+            szdiff = smask.bit_count() - tsub.bit_count()
+            degsum = 0
+            m = tsub
+            while m:
+                lsb = m & -m
+                x = lsb.bit_length() - 1
+                degsum += deg[x] - (rows[x] & smask).bit_count()
+                m ^= lsb
+            tau_even = 0
+            tau_odd = 0
+            for oc, codd in cdata:
+                pe = (tsub & oc).bit_count() & 1
+                tau_even += pe
+                tau_odd += pe ^ codd
+            for k in ks:
+                tau = tau_odd if k & 1 else tau_even
+                val = tau - degsum - k * szdiff
+                prev = best.get(k)
+                if prev is None or val > prev:
+                    best[k] = val
+                    arg[k] = (smask, tsub)
+                    if k == collect_for:
+                        gathered = [(smask, tsub)]
+                elif val == prev and k == collect_for:
+                    gathered.append((smask, tsub))
+            if tsub == 0:
+                break
+            tsub = (tsub - 1) & u
+    return best, arg, gathered

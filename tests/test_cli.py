@@ -10,6 +10,8 @@ import sys
 import pytest
 
 from specfactor.cli import main
+from specfactor.constructions import cycle
+from specfactor.graph6 import to_graph6
 
 
 def run_cli(capsys, *argv, stdin=None, monkeypatch=None):
@@ -90,6 +92,15 @@ def test_oracle_subcommands(capsys):
     assert env["payload"] == {"deficiency": 1, "s": [], "t": []}
     code, env, _ = run_cli(capsys, "oracle", "factor", "--k", "2", "Cl")
     assert env["payload"] == {"exists": True}
+
+
+def test_oracle_refuses_cap_above_ceiling(capsys):
+    big = to_graph6(cycle(40))
+    for sub in ("deficiency", "factor"):
+        code, env, err = run_cli(capsys, "oracle", sub, "--k", "1", "--cap", "40", big)
+        assert code == 1
+        assert env["status"] == "error"
+        assert "at most 16" in env["payload"]["error"]
 
 
 def test_batch_stdin(capsys, monkeypatch):

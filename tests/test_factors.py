@@ -29,6 +29,7 @@ from specfactor.factors import (
     k_factor,
     max_bounded_subgraph,
 )
+from specfactor import oracle
 from specfactor.graph import Graph
 from specfactor.matching import matching_number
 from specfactor.oracle import brute_force_deficiency
@@ -210,3 +211,13 @@ def test_certificate_cross_check():
     assert rep.certificate is not None
     rep2 = k_factor(complete_graph(4), 1, want_certificate=True)
     assert rep2.exists and rep2.deficiency == 0
+
+
+def test_certificate_disagreement_raises(monkeypatch):
+    def off_by_one(g, k):
+        value, pair = brute_force_deficiency(g, k)
+        return value + 1, pair
+
+    monkeypatch.setattr(oracle, "brute_force_deficiency", off_by_one)
+    with pytest.raises(RuntimeError, match="certificate search disagrees"):
+        k_factor(cycle(5), 1, want_certificate=True)

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +14,7 @@ from hypothesis import strategies as st
 
 from specfactor.constructions import complete_graph, cycle, empty_graph, star
 from specfactor.factors import deficiency as engine_deficiency
+from specfactor import oracle
 from specfactor.graph import Graph, disjoint_union
 from specfactor.oracle import (
     STPair,
@@ -21,7 +26,7 @@ from specfactor.oracle import (
     optimal_pairs,
 )
 
-from conftest import naive_deficiency, naive_delta, random_graph
+from conftest import naive_deficiency, naive_delta, random_graph, reference_sweep
 
 
 def test_delta_breakdown_example():
@@ -71,6 +76,76 @@ def test_deficiency_cap():
         brute_force_deficiency(g, 1)
     # explicit cap raises it
     assert brute_force_deficiency(g, 1, cap=15)[0] == 15
+
+
+def test_cap_and_k_ceilings():
+    g = cycle(5)
+    for call in (brute_force_deficiency, optimal_pairs, brute_force_has_k_factor):
+        with pytest.raises(ValueError, match="at most 16"):
+            call(g, 1, cap=17)
+    with pytest.raises(ValueError, match="at most 16"):
+        brute_force_deficiency_multi(g, [1], cap=40)
+    with pytest.raises(ValueError, match="k must be at most"):
+        brute_force_deficiency(g, oracle._MAX_K + 1)
+    # the largest k still fits the sweep's int32 arithmetic: T = V wins
+    assert brute_force_deficiency(g, oracle._MAX_K) == (
+        5 * oracle._MAX_K - 10,
+        STPair((), (0, 1, 2, 3, 4)),
+    )
+
+
+def _assert_same_sweep(g, ks):
+    for collect_for in (None, *ks):
+        got = oracle._sweep(g, ks, collect_for)
+        assert got == reference_sweep(g, ks, collect_for), (g.rows, collect_for)
+
+
+def test_sweep_matches_scalar_loop_in_order_on_small_corpus(connected_by_n):
+    # values, first maximizers and the order of the gathered optimal pairs
+    for n in range(1, 7):
+        for g in connected_by_n[n]:
+            _assert_same_sweep(g, (1, 2, 3, 4))
+
+
+def test_sweep_matches_scalar_loop_in_order_on_random_graphs():
+    rng = random.Random(43)
+    graphs = [random_graph(rng.randrange(1, 9), rng.random(), rng) for _ in range(60)]
+    assert any(not g.is_connected() for g in graphs)
+    for g in graphs:
+        _assert_same_sweep(g, (1, 2, 3, 4))
+
+
+def test_sweep_matches_scalar_loop_across_blocks(monkeypatch):
+    # blocks of 7 pairs cut through the pair lists of most U
+    monkeypatch.setattr(oracle, "_BLOCK_PAIRS", 7)
+    rng = random.Random(47)
+    for _ in range(20):
+        _assert_same_sweep(random_graph(rng.randrange(1, 7), rng.random(), rng), (1, 2))
+
+
+def test_sweep_memory_is_bounded_at_default_cap():
+    code = textwrap.dedent(
+        """
+        import resource
+        from specfactor.constructions import cycle
+        from specfactor.oracle import brute_force_deficiency_multi
+
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        out = brute_force_deficiency_multi(cycle(14), (1, 2, 3))
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        print(after - before, out[3][0])
+        """
+    )
+    src = os.path.dirname(os.path.dirname(oracle.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    grown_kib, deficiency = map(int, proc.stdout.split())
+    # C14 has a 1- and a 2-factor; for k = 3 every vertex lacks one degree
+    assert deficiency == 14
+    assert grown_kib < 64 * 1024
 
 
 @given(st.integers(min_value=0, max_value=10**6))
