@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .graph import Graph
+from .graph import Graph, bits
 
 _NODE_BUDGET = 500_000
 
@@ -61,6 +61,7 @@ def canonical_labeling(
         return ((), ()), ()
 
     base = _refine(n, rows, list(init))
+    nbrs = [list(bits(r)) for r in rows]
     best: list = [None, None]  # key, perm
     budget = [_NODE_BUDGET]
 
@@ -71,12 +72,9 @@ def canonical_labeling(
             pos[v] = i
         newrows = [0] * n
         for v in range(n):
-            r = rows[v]
             nr = 0
-            while r:
-                lsb = r & -r
-                nr |= 1 << pos[lsb.bit_length() - 1]
-                r ^= lsb
+            for u in nbrs[v]:
+                nr |= 1 << pos[u]
             newrows[pos[v]] = nr
         key = (tuple(newrows), tuple(init[v] for v in perm))
         if best[0] is None or key > best[0]:
@@ -116,8 +114,3 @@ def canonical_labeling(
 
 def canonical_key(g: Graph, colors: Sequence[int] | None = None) -> tuple:
     return canonical_labeling(g, colors)[0]
-
-
-def canonical_graph(g: Graph) -> Graph:
-    key, _ = canonical_labeling(g)
-    return Graph.from_rows(key[0])

@@ -45,19 +45,25 @@ def _sanitize(obj):
 
 
 def _read_graphs(args) -> list[Graph]:
+    """Graphs from the argument, a file or stdin; bad lines name their number."""
     text = getattr(args, "graph", None)
+    if text and not os.path.isfile(text):
+        return [parse_graph6(text)]
     if text:
-        if os.path.isfile(text):
-            with open(text, encoding="ascii") as fh:
-                lines = [ln.strip() for ln in fh]
-        else:
-            lines = [text]
+        with open(text, encoding="ascii") as fh:
+            lines = fh.readlines()
     else:
-        lines = [ln.strip() for ln in sys.stdin]
-    lines = [ln for ln in lines if ln]
-    if not lines:
+        lines = sys.stdin.readlines()
+    graphs = []
+    for i, ln in enumerate(lines, 1):
+        if ln.strip():
+            try:
+                graphs.append(parse_graph6(ln))
+            except Graph6Error as exc:
+                raise ValueError(f"line {i}: {exc}") from None
+    if not graphs:
         raise UsageError("no graph input (pass graph6, a file path, or stdin lines)")
-    return [parse_graph6(ln) for ln in lines]
+    return graphs
 
 
 def _per_graph(args, fn) -> dict:
@@ -210,7 +216,6 @@ def _cmd_gen(args):
 def _build_parser() -> _Parser:
     top = _Parser(prog="specfactor", description=__doc__.splitlines()[0])
     top.add_argument("--human", action="store_true", help="plain text instead of JSON")
-    top.add_argument("--json", action="store_true", help="JSON output (default)")
     sub = top.add_subparsers(dest="command", required=True)
 
     def add_graph_arg(p):

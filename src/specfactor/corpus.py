@@ -14,7 +14,7 @@ import random
 from itertools import combinations
 from math import comb
 
-from .graph import Graph, component_masks
+from .graph import Graph, bits, component_masks
 from .canon import canonical_key, canonical_labeling
 
 _MAX_CONNECTED_N = 8
@@ -39,12 +39,7 @@ def enumerate_connected_graphs(n: int) -> list[Graph]:
         for parent in enumerate_connected_graphs(n - 1):
             base_edges = parent.edges()
             for sub in range(1, 1 << new):
-                edges = list(base_edges)
-                m = sub
-                while m:
-                    lsb = m & -m
-                    edges.append((lsb.bit_length() - 1, new))
-                    m ^= lsb
+                edges = base_edges + [(u, new) for u in bits(sub)]
                 child = Graph(n, edges)
                 key = canonical_key(child)
                 if key not in seen:

@@ -1,10 +1,11 @@
 """Factor solving by gadget reduction to maximum matching.
 
-Two classical gadgets over the same edge-node skeleton: the perfect-matching
-gadget (one core node per unit of degree slack) decides f-factor existence
-and recovers the factor; the slot gadget (one slot node per unit of degree
-cap) computes the maximum subgraph with bounded degrees, which yields the
-deficiency as def = sum(f) - 2*nu.
+The solver uses one gadget: each edge becomes two joined edge nodes and
+vertex v gets min(f(v), d(v)) slot nodes joined to v's edge nodes.  A
+maximum matching yields a maximum subgraph with deg(v) <= f(v), of size nu;
+def = sum(f) - 2*nu, and at def = 0 that subgraph is an f-factor.
+`gadget_reduce` documents the perfect-matching form (d(v) - f(v) core nodes
+per vertex), whose perfect matchings biject with f-factors.
 """
 
 from __future__ import annotations
@@ -105,11 +106,6 @@ def _bounded_subgraph(g: Graph, caps: Sequence[int]) -> list[tuple[int, int]]:
     return picked
 
 
-def max_bounded_subgraph(g: Graph, caps) -> list[tuple[int, int]]:
-    caps = _normalize_spec(g, caps)
-    return _bounded_subgraph(g, caps)
-
-
 def deficiency(g: Graph, k: int) -> int:
     """k*n - 2*nu_k, where nu_k is the maximum size of a subgraph with all
     degrees at most k.  Zero exactly when a k-factor exists."""
@@ -124,38 +120,23 @@ def deficiency(g: Graph, k: int) -> int:
 def has_f_factor(g: Graph, spec, want_certificate: bool = False) -> FactorReport:
     """Decide whether g has a spanning subgraph with degrees exactly f.
 
-    Existence and the factor itself come from a perfect matching in the
-    slack gadget; when no factor exists the deficiency sum(f) - 2*nu is
-    computed from the slot gadget.  The two agree on existence by
-    construction, and a disagreement raises RuntimeError.
+    One maximum subgraph with deg(v) <= f(v) gives the deficiency
+    sum(f) - 2*nu; it is zero exactly when that subgraph has degree f(v)
+    at every v, and then the subgraph is the returned factor (some
+    f-factor, not a canonical one).
     """
     f = _normalize_spec(g, spec)
-    fsum = sum(f)
-    feasible = fsum % 2 == 0 and all(f[v] <= g.degree(v) for v in range(g.n))
-
+    picked = _bounded_subgraph(g, f)
+    defect = sum(f) - 2 * len(picked)
     factor: tuple[tuple[int, int], ...] | None = None
-    if feasible:
-        side = [g.degree(v) - f[v] for v in range(g.n)]
-        total, adj, edges = _edge_gadget(g, side)
-        match = _max_matching_adj(total, adj)
-        if all(m != -1 for m in match):
-            factor = tuple(
-                (u, v) for i, (u, v) in enumerate(edges) if match[2 * i] == 2 * i + 1
-            )
-
-    if factor is not None:
+    if defect == 0:
+        factor = tuple(picked)
         degs = [0] * g.n
         for u, v in factor:
             degs[u] += 1
             degs[v] += 1
         if degs != f:
             raise RuntimeError("factor does not meet its degree spec")
-        defect = 0
-    else:
-        nu = len(_bounded_subgraph(g, f))
-        defect = fsum - 2 * nu
-        if defect <= 0:
-            raise RuntimeError("gadgets disagree on factor existence")
 
     cert = None
     if want_certificate and g.n > 0:

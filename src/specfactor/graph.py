@@ -5,6 +5,14 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 
+def bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of a non-negative mask, ascending."""
+    while mask:
+        lsb = mask & -mask
+        yield lsb.bit_length() - 1
+        mask ^= lsb
+
+
 class Graph:
     """Undirected simple graph.
 
@@ -42,10 +50,7 @@ class Graph:
             if (row >> v) & 1:
                 raise ValueError(f"self-loop at vertex {v}")
         for v, row in enumerate(rows):
-            m = row
-            while m:
-                u = (m & -m).bit_length() - 1
-                m &= m - 1
+            for u in bits(row):
                 if not (rows[u] >> v) & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
         g.n = n
@@ -79,21 +84,12 @@ class Graph:
         return bool((self._rows[u] >> v) & 1)
 
     def neighbors(self, v: int) -> Iterator[int]:
-        m = self._rows[v]
-        while m:
-            lsb = m & -m
-            yield lsb.bit_length() - 1
-            m ^= lsb
+        return bits(self._rows[v])
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for v in range(self.n):
-            m = self._rows[v] >> (v + 1)
-            while m:
-                lsb = m & -m
-                out.append((v, v + 1 + lsb.bit_length() - 1))
-                m ^= lsb
-        return out
+        return [
+            (v, u) for v, row in enumerate(self._rows) for u in bits(row >> (v + 1) << (v + 1))
+        ]
 
     def is_regular(self) -> bool:
         degs = self.degrees()
@@ -152,11 +148,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     index = {v: i for i, v in enumerate(vs)}
     rows = [0] * len(vs)
     for v in vs:
-        m = g.row(v)
-        while m:
-            lsb = m & -m
-            u = lsb.bit_length() - 1
-            m ^= lsb
+        for u in bits(g.row(v)):
             if u in index:
                 rows[index[v]] |= 1 << index[u]
     return Graph.from_rows(rows)
@@ -176,11 +168,8 @@ def component_masks(g: Graph, present: int | None = None) -> list[int]:
         frontier = comp
         while frontier:
             nxt = 0
-            m = frontier
-            while m:
-                lsb = m & -m
-                nxt |= rows[lsb.bit_length() - 1]
-                m ^= lsb
+            for v in bits(frontier):
+                nxt |= rows[v]
             frontier = nxt & rem & ~comp
             comp |= frontier
         comps.append(comp)
@@ -190,13 +179,4 @@ def component_masks(g: Graph, present: int | None = None) -> list[int]:
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Vertex lists of the components, each sorted, ordered by smallest member."""
-    return [_mask_to_list(m) for m in component_masks(g)]
-
-
-def _mask_to_list(mask: int) -> list[int]:
-    out = []
-    while mask:
-        lsb = mask & -mask
-        out.append(lsb.bit_length() - 1)
-        mask ^= lsb
-    return out
+    return [list(bits(m)) for m in component_masks(g)]

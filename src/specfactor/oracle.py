@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import Graph, component_masks
+from .graph import Graph, bits, component_masks
 
 _DEFAULT_CAP = 14
 # ceiling on any cap: the uint16 pair tables cover exactly n <= 16, and a
@@ -74,25 +74,15 @@ def _as_masks(g: Graph, st) -> tuple[int, int]:
     return smask, tmask
 
 
-def _mask_to_tuple(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        lsb = mask & -mask
-        out.append(lsb.bit_length() - 1)
-        mask ^= lsb
-    return tuple(out)
+def _pair(smask: int, tmask: int) -> STPair:
+    return STPair(tuple(bits(smask)), tuple(bits(tmask)))
 
 
 def _tau(g: Graph, k: int, smask: int, tmask: int) -> int:
     present = ((1 << g.n) - 1) & ~(smask | tmask)
     count = 0
     for comp in component_masks(g, present):
-        e_ct = 0
-        m = comp
-        while m:
-            lsb = m & -m
-            e_ct += (g.row(lsb.bit_length() - 1) & tmask).bit_count()
-            m ^= lsb
+        e_ct = sum((g.row(v) & tmask).bit_count() for v in bits(comp))
         if (e_ct + k * comp.bit_count()) % 2 == 1:
             count += 1
     return count
@@ -106,13 +96,7 @@ def count_k_odd_components(g: Graph, k: int, st) -> int:
 def delta(g: Graph, k: int, st) -> DeltaBreakdown:
     smask, tmask = _as_masks(g, st)
     tau = _tau(g, k, smask, tmask)
-    degree_sum = 0
-    m = tmask
-    while m:
-        lsb = m & -m
-        x = lsb.bit_length() - 1
-        degree_sum += (g.row(x) & ~smask).bit_count()
-        m ^= lsb
+    degree_sum = sum((g.row(x) & ~smask).bit_count() for x in bits(tmask))
     k_s = k * smask.bit_count()
     k_t = k * tmask.bit_count()
     return DeltaBreakdown(
@@ -276,8 +260,7 @@ def brute_force_deficiency(g: Graph, k: int, cap: int = _DEFAULT_CAP) -> tuple[i
     """
     _check(g, [k], cap)
     best, arg, _ = _sweep(g, [k])
-    smask, tmask = arg[k]
-    return best[k], STPair(_mask_to_tuple(smask), _mask_to_tuple(tmask))
+    return best[k], _pair(*arg[k])
 
 
 def brute_force_deficiency_multi(
@@ -286,19 +269,14 @@ def brute_force_deficiency_multi(
     """One 3^n sweep serving several k values at once."""
     _check(g, ks, cap)
     best, arg, _ = _sweep(g, list(ks))
-    out = {}
-    for k in ks:
-        smask, tmask = arg[k]
-        out[k] = (best[k], STPair(_mask_to_tuple(smask), _mask_to_tuple(tmask)))
-    return out
+    return {k: (best[k], _pair(*arg[k])) for k in ks}
 
 
 def optimal_pairs(g: Graph, k: int, cap: int = _DEFAULT_CAP) -> tuple[int, list[STPair]]:
     """Deficiency plus every disjoint pair attaining it, in sweep order."""
     _check(g, [k], cap)
     best, _, gathered = _sweep(g, [k], collect_for=k)
-    pairs = [STPair(_mask_to_tuple(s), _mask_to_tuple(t)) for s, t in gathered]
-    return best[k], pairs
+    return best[k], [_pair(s, t) for s, t in gathered]
 
 
 def brute_force_has_k_factor(g: Graph, k: int, cap: int = _DEFAULT_CAP) -> bool:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, bits
 
 _OFF_TOL = 1e-12
 
@@ -22,11 +22,8 @@ _OFF_TOL = 1e-12
 def adjacency_matrix(g: Graph) -> np.ndarray:
     a = np.zeros((g.n, g.n))
     for v in range(g.n):
-        m = g.row(v)
-        while m:
-            lsb = m & -m
-            a[v, lsb.bit_length() - 1] = 1.0
-            m ^= lsb
+        for u in bits(g.row(v)):
+            a[v, u] = 1.0
     return a
 
 
@@ -110,11 +107,7 @@ def _cross_counts(g: Graph, masks: list[int]) -> np.ndarray:
     s = len(masks)
     e = np.zeros((s, s))
     for i, mi in enumerate(masks):
-        m = mi
-        while m:
-            lsb = m & -m
-            v = lsb.bit_length() - 1
-            m ^= lsb
+        for v in bits(mi):
             row = g.row(v)
             for j, mj in enumerate(masks):
                 e[i, j] += (row & mj).bit_count()
@@ -149,25 +142,13 @@ def is_equitable(g: Graph, parts: Sequence[Sequence[int]]) -> bool:
     masks = _check_partition(g, parts)
     for mi in masks:
         first: list[int] | None = None
-        m = mi
-        while m:
-            lsb = m & -m
-            v = lsb.bit_length() - 1
-            m ^= lsb
+        for v in bits(mi):
             counts = [(g.row(v) & mj).bit_count() for mj in masks]
             if first is None:
                 first = counts
             elif counts != first:
                 return False
     return True
-
-
-def partition_by_degree(g: Graph) -> list[list[int]]:
-    """Vertices grouped by degree, parts ordered by descending degree."""
-    groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(g.degree(v), []).append(v)
-    return [groups[d] for d in sorted(groups, reverse=True)]
 
 
 # -- cubic families and closed-form thresholds --------------------------------

@@ -23,13 +23,9 @@ from .constructions import (
     extremal_odd_m2_parts,
     extremal_odd_m3,
 )
-from .corpus import (  # noqa: F401  (re-exported as part of this module's API)
-    enumerate_connected_regular,
-    random_class_member,
-    random_regular,
-)
+from .corpus import random_class_member
 from .factors import is_k_critical, k_factor
-from .graph import Graph, component_masks, induced_subgraph
+from .graph import Graph, bits, component_masks, induced_subgraph
 from .graph6 import to_graph6
 from .oracle import STPair
 from .spectral import (
@@ -312,15 +308,6 @@ def _inapplicable(reason: str) -> Lemma31Result:
     return Lemma31Result(False, reason, None, None, None, (), False)
 
 
-def _mask_vertices(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        lsb = mask & -mask
-        out.append(lsb.bit_length() - 1)
-        mask ^= lsb
-    return tuple(out)
-
-
 def check_lemma_3_1(
     g: Graph, k: int, m: int, st: STPair | None = None, cap: int = oracle._DEFAULT_CAP
 ) -> Lemma31Result:
@@ -369,7 +356,7 @@ def check_lemma_3_1(
             stmask |= 1 << v
         found = []
         for comp in component_masks(g, full & ~stmask):
-            vs = _mask_vertices(comp)
+            vs = tuple(bits(comp))
             two_e = sum((g.row(v) & comp).bit_count() for v in vs)
             if two_e >= r * len(vs) - (m - 1):
                 found.append(vs)

@@ -8,8 +8,10 @@ implementation that shares no code with it.
 
 from __future__ import annotations
 
+import functools
 import random
 
+import numpy as np
 import pytest
 
 from specfactor.corpus import enumerate_connected_graphs, enumerate_connected_regular
@@ -156,3 +158,26 @@ def reference_sweep(g: Graph, ks, collect_for=None):
                 break
             tsub = (tsub - 1) & u
     return best, arg, gathered
+
+
+@functools.lru_cache(maxsize=1)
+def _subset_degrees(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Degree vector and size of every edge subset of g, one row per subset."""
+    edges = g.edges()
+    chosen = (np.arange(1 << len(edges))[:, None] >> np.arange(len(edges))) & 1
+    incidence = np.zeros((len(edges), g.n), dtype=np.int64)
+    for i, (u, v) in enumerate(edges):
+        incidence[i, u] = incidence[i, v] = 1
+    return chosen @ incidence, chosen.sum(axis=1)
+
+
+def reference_f_factor(g: Graph, f) -> tuple[bool, int]:
+    """(exists, deficiency) for degree spec f by enumerating edge subsets.
+
+    The deficiency is sum(f) - 2 max |F| over subgraphs F with
+    deg_F(v) <= f(v) for every v; no matching or gadget is involved.
+    """
+    degs, sizes = _subset_degrees(g)
+    fits = np.all(degs <= np.asarray(f), axis=1)
+    defect = sum(f) - 2 * int(sizes[fits].max())
+    return defect == 0, defect

@@ -135,6 +135,23 @@ def test_malformed_graph6_is_an_error_envelope(capsys):
     assert "offset" in env["payload"]["error"]
 
 
+def test_malformed_batch_line_names_its_line(capsys, monkeypatch):
+    code, env, err = run_cli(
+        capsys, "deficiency", "--k", "2", stdin="D~{\nD~\nCl\n", monkeypatch=monkeypatch
+    )
+    assert code == 1
+    assert env["status"] == "error"
+    assert env["payload"]["error"].startswith("line 2: truncated bit vector")
+    assert "line 2: " in err.err
+
+
+def test_json_flag_is_gone(capsys):
+    code, env, err = run_cli(capsys, "--json", "spectrum", "D~{")
+    assert code == 1
+    assert env["status"] == "error"
+    assert "usage error" in err.err
+
+
 def test_bad_flags_exit_one(capsys):
     code = main(["threshold", "--family", "rho9", "--r", "4", "--m", "2"])
     out = capsys.readouterr()

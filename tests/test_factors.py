@@ -1,9 +1,10 @@
 """Degree-constrained spanning subgraphs: existence, deficiency, criticality.
 
-The reduction sends each graph edge to a rigid two-node widget and each
-vertex to slack nodes, so factor existence becomes perfect matching.  These
-tests check the reduction's bookkeeping and its agreement with the subset
-sweep reference.
+The solver sends each graph edge to a two-node widget and each vertex v to
+f(v) slot nodes, so a maximum matching gives a maximum subgraph with
+bounded degrees; `gadget_reduce` is the perfect-matching form of the same
+reduction.  These tests check the bookkeeping and the agreement with the
+subset sweep and edge-subset references.
 """
 
 from __future__ import annotations
@@ -27,14 +28,14 @@ from specfactor.factors import (
     has_f_factor,
     is_k_critical,
     k_factor,
-    max_bounded_subgraph,
 )
+from specfactor import factors
 from specfactor import oracle
 from specfactor.graph import Graph
 from specfactor.matching import matching_number
 from specfactor.oracle import brute_force_deficiency
 
-from conftest import random_graph
+from conftest import random_graph, reference_f_factor
 
 import pytest
 
@@ -133,16 +134,52 @@ def test_agrees_with_subset_sweep(seed):
 def test_max_bounded_subgraph_respects_caps():
     g = complete_graph(5)
     caps = [1, 2, 2, 1, 0]
-    edges = max_bounded_subgraph(g, caps)
+    edges = factors._bounded_subgraph(g, caps)
     degs = [0] * 5
     for u, v in edges:
         assert g.has_edge(u, v)
         degs[u] += 1
         degs[v] += 1
     assert all(d <= c for d, c in zip(degs, caps))
+    # vertex 4 is excluded, and K4 with caps (1, 2, 2, 1) holds 3 edges
+    assert len(edges) == 3
     # caps (1,..,1) reduces to maximum matching
     for n in range(2, 8):
-        assert len(max_bounded_subgraph(complete_graph(n), [1] * n)) == n // 2
+        assert len(factors._bounded_subgraph(complete_graph(n), [1] * n)) == n // 2
+
+
+def _specs(n: int, k: int):
+    yield [k] * n
+    for x in range(n):
+        for fx in (k - 1, k + 1):
+            if fx >= 0:
+                f = [k] * n
+                f[x] = fx
+                yield f
+
+
+def test_f_factor_agrees_with_edge_subset_reference(connected_by_n):
+    # the uniform spec and every one-vertex k +- 1 spec, as is_k_critical
+    # asks them, against an edge-subset enumeration that uses no matching
+    checked = 0
+    for n in range(1, 7):
+        for g in connected_by_n[n]:
+            for k in range(4):
+                for f in _specs(n, k):
+                    exists, defect = reference_f_factor(g, f)
+                    rep = has_f_factor(g, f)
+                    assert (rep.exists, rep.deficiency) == (exists, defect), (g.edges(), f)
+                    if exists:
+                        degs = [0] * n
+                        for u, v in rep.edges:
+                            assert g.has_edge(u, v)
+                            degs[u] += 1
+                            degs[v] += 1
+                        assert degs == f
+                    else:
+                        assert rep.edges is None
+                    checked += 1
+    assert checked > 5000
 
 
 def test_gadget_reduce_shapes():

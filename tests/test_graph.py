@@ -17,6 +17,7 @@ from specfactor.constructions import (
 )
 from specfactor.graph import (
     Graph,
+    bits,
     complement,
     connected_components,
     disjoint_union,
@@ -109,6 +110,15 @@ def test_induced_subgraph_examples():
     assert induced_subgraph(complete_graph(4), []).n == 0
     with pytest.raises(ValueError):
         induced_subgraph(complete_graph(3), [0, 5])
+
+
+def test_bits():
+    assert list(bits(0)) == []
+    assert list(bits(1)) == [0]
+    assert list(bits(1 << 40)) == [40]
+    assert list(bits(0b1011_0010)) == [1, 4, 5, 7]
+    mask = (1 << 63) | (1 << 33) | 5
+    assert list(bits(mask)) == [0, 2, 33, 63]
 
 
 def test_connected_components_examples():

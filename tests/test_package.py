@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import specfactor
@@ -16,4 +17,14 @@ def test_no_assert_statements_in_package():
         found += [
             f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)
         ]
+    assert found == []
+
+
+def test_lowest_set_bit_idiom_only_in_graph_bits():
+    # graph.bits is the one bit iterator; other modules iterate through it
+    idiom = re.compile(r"\b(\w+)\s*&\s*-\s*\1\b")
+    found = []
+    for path in sorted(Path(specfactor.__file__).parent.glob("*.py")):
+        if path.name != "graph.py":
+            found += [f"{path.name}: {m.group(0)}" for m in idiom.finditer(path.read_text())]
     assert found == []

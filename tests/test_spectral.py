@@ -37,7 +37,6 @@ from specfactor.spectral import (
     is_equitable,
     jacobi_eigenvalues,
     largest_root,
-    partition_by_degree,
     quotient_eigenvalues,
     quotient_matrix,
     rho1,
@@ -181,9 +180,10 @@ def test_is_equitable_examples():
 
 
 def test_partition_by_degree():
+    # extremal_even(4, 2): three vertices of degree 4, then two of degree 3
     g = extremal_even(4, 2)
-    assert partition_by_degree(g) == [[0, 1, 2], [3, 4]]
-    assert is_equitable(g, partition_by_degree(g))
+    assert g.degrees() == (4, 4, 4, 3, 3)
+    assert is_equitable(g, [[0, 1, 2], [3, 4]])
 
 
 def test_quotient_interlacing_on_equitable_partitions():
