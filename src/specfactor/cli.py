@@ -7,14 +7,18 @@ Every invocation prints exactly one JSON envelope on stdout:
 
 Diagnostics go to stderr.  Exit codes: 0 ok, 1 usage or domain error,
 2 counterexample found (verify subcommands only).  Floats are rounded to
-15 significant digits so identical invocations are byte-identical.
+12 significant digits, and those below 1e-12 in magnitude print as 0.0, so
+identical invocations are byte-identical and solver round-off stays off
+stdout.
+
+Graph input is one graph6 argument, the graph6 lines of --file PATH, or,
+when neither is given, the graph6 lines of stdin.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -36,7 +40,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _sanitize(obj):
     if isinstance(obj, float):
-        return float(f"{obj:.15g}")
+        return 0.0 if abs(obj) < 1e-12 else float(f"{obj:.12g}")
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -45,12 +49,13 @@ def _sanitize(obj):
 
 
 def _read_graphs(args) -> list[Graph]:
-    """Graphs from the argument, a file or stdin; bad lines name their number."""
-    text = getattr(args, "graph", None)
-    if text and not os.path.isfile(text):
-        return [parse_graph6(text)]
-    if text:
-        with open(text, encoding="ascii") as fh:
+    """Graphs from the graph6 argument, --file or stdin; bad lines name their number."""
+    if args.graph and args.file:
+        raise UsageError("pass a graph6 argument or --file, not both")
+    if args.graph:
+        return [parse_graph6(args.graph)]
+    if args.file:
+        with open(args.file, encoding="ascii") as fh:
             lines = fh.readlines()
     else:
         lines = sys.stdin.readlines()
@@ -62,7 +67,7 @@ def _read_graphs(args) -> list[Graph]:
             except Graph6Error as exc:
                 raise ValueError(f"line {i}: {exc}") from None
     if not graphs:
-        raise UsageError("no graph input (pass graph6, a file path, or stdin lines)")
+        raise UsageError("no graph input (pass graph6, --file PATH, or stdin lines)")
     return graphs
 
 
@@ -219,7 +224,8 @@ def _build_parser() -> _Parser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def add_graph_arg(p):
-        p.add_argument("graph", nargs="?", help="graph6 string or file of graph6 lines; stdin if omitted")
+        p.add_argument("graph", nargs="?", help="graph6 string; stdin lines if neither it nor --file is given")
+        p.add_argument("--file", metavar="PATH", help="file of graph6 lines, one graph per line")
 
     p = sub.add_parser("spectrum", help="adjacency eigenvalues, descending")
     add_graph_arg(p)

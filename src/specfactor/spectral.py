@@ -1,7 +1,7 @@
 """Adjacency spectra, quotient matrices, and eigenvalue threshold formulas.
 
-Eigenvalues come from a cyclic Jacobi iteration on the dense adjacency
-matrix, run until the off-diagonal Frobenius norm drops below 1e-12.  The
+Eigenvalues come from numpy.linalg.eigvalsh (LAPACK's symmetric solver) on
+the dense adjacency matrix, for graphs of at most 2048 vertices.  The
 closed-form thresholds rho1/rho2 and the cubic families they lean on are
 kept separate from the numerics so each side can certify the other.
 """
@@ -16,7 +16,8 @@ import numpy as np
 
 from .graph import Graph, bits
 
-_OFF_TOL = 1e-12
+# a dense n x n float64 matrix takes 8n^2 bytes: 32 MiB at the cap
+_MAX_ORDER = 2048
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
@@ -27,57 +28,15 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return a
 
 
-def jacobi_eigenvalues(a: np.ndarray, off_tol: float = _OFF_TOL) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations, descending."""
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    if not np.allclose(a, a.T, atol=1e-12):
-        raise ValueError("matrix must be symmetric")
-    if n <= 1:
-        return np.diag(a).copy()
-
-    tol_sq = off_tol * off_tol
-    for _ in range(80):
-        # summing the off-diagonal squares directly avoids the cancellation
-        # floor of ||A||^2 - ||diag||^2, which never reaches tol_sq
-        off = a.copy()
-        np.fill_diagonal(off, 0.0)
-        off_sq = float(np.sum(off * off))
-        if off_sq <= tol_sq:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) < 1e-15:
-                    continue
-                app, aqq = a[p, p], a[q, q]
-                theta = (aqq - app) / (2.0 * apq)
-                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                a[p, :] = a[:, p]
-                a[q, :] = a[:, q]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = a[q, p] = 0.0
-    else:
-        raise RuntimeError("Jacobi iteration failed to converge")
-    return np.sort(np.diag(a))[::-1].copy()
+def _descending(sym: np.ndarray) -> list[float]:
+    return [float(x) for x in np.linalg.eigvalsh(sym)[::-1]]
 
 
 def eigenvalues(g: Graph) -> list[float]:
-    """Adjacency eigenvalues in descending order."""
-    if g.n == 0:
-        return []
-    return [float(x) for x in jacobi_eigenvalues(adjacency_matrix(g))]
+    """Adjacency eigenvalues in descending order (at most 2048 vertices)."""
+    if g.n > _MAX_ORDER:
+        raise ValueError(f"eigenvalues: {g.n} vertices exceeds the cap of {_MAX_ORDER}")
+    return _descending(adjacency_matrix(g))
 
 
 # -- quotient matrices -------------------------------------------------------
@@ -126,15 +85,15 @@ def quotient_eigenvalues(g: Graph, parts: Sequence[Sequence[int]]) -> list[float
     """Eigenvalues of the quotient matrix, descending.
 
     B = D^-1 E with E symmetric, so B is similar to the symmetric matrix
-    D^-1/2 E D^-1/2 and its spectrum is real; the Jacobi solver is applied
-    to that symmetrized form.
+    D^-1/2 E D^-1/2 and its spectrum is real; eigvalsh is applied to that
+    symmetrized form.
     """
     masks = _check_partition(g, parts)
     e = _cross_counts(g, masks)
     sizes = np.array([m.bit_count() for m in masks], dtype=float)
     scale = 1.0 / np.sqrt(sizes)
     sym = e * scale[:, None] * scale[None, :]
-    return [float(x) for x in jacobi_eigenvalues(sym)]
+    return _descending(sym)
 
 
 def is_equitable(g: Graph, parts: Sequence[Sequence[int]]) -> bool:

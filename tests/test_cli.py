@@ -11,6 +11,7 @@ import pytest
 
 from specfactor.cli import main
 from specfactor.constructions import cycle
+from specfactor.graph import Graph
 from specfactor.graph6 import to_graph6
 
 
@@ -114,11 +115,36 @@ def test_batch_stdin(capsys, monkeypatch):
 def test_graph_argument_may_be_a_file(capsys, tmp_path):
     f = tmp_path / "graphs.g6"
     f.write_text("D~{\nCl\n")
-    code, env, _ = run_cli(capsys, "spectrum", str(f))
+    code, env, _ = run_cli(capsys, "spectrum", "--file", str(f))
     assert code == 0
     rows = env["payload"]["results"]
     assert len(rows) == 2
     assert rows[1]["eigenvalues"] == pytest.approx([2.0, 0.0, 0.0, -2.0], abs=1e-9)
+    code, env, err = run_cli(capsys, "spectrum", "Cl", "--file", str(f))
+    assert code == 1
+    assert "usage error" in err.err
+
+
+def test_graph6_argument_is_never_read_as_a_file(capsys, tmp_path, monkeypatch):
+    (tmp_path / "Cl").write_text("D~{\n")
+    monkeypatch.chdir(tmp_path)
+    code, env, _ = run_cli(capsys, "spectrum", "Cl")
+    assert code == 0
+    assert env["payload"] == {"n": 4, "eigenvalues": [2.0, 0.0, 0.0, -2.0]}
+
+
+def test_spectrum_prints_exact_zeros(capsys):
+    # solver round-off on C4's zero eigenvalues stays off stdout
+    code, _, out = run_cli(capsys, "spectrum", "Cl")
+    assert code == 0
+    assert '"eigenvalues": [2.0, 0.0, 0.0, -2.0]' in out.out
+
+
+def test_spectrum_refuses_orders_above_the_cap(capsys):
+    code, env, _ = run_cli(capsys, "spectrum", to_graph6(Graph(2049, [])))
+    assert code == 1
+    assert env["status"] == "error"
+    assert "2048" in env["payload"]["error"]
 
 
 def test_empty_stdin_is_a_usage_error(capsys, monkeypatch):

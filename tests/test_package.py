@@ -28,3 +28,15 @@ def test_lowest_set_bit_idiom_only_in_graph_bits():
         if path.name != "graph.py":
             found += [f"{path.name}: {m.group(0)}" for m in idiom.finditer(path.read_text())]
     assert found == []
+
+
+def test_one_production_eigensolver():
+    # eigvalsh is called only from spectral; the Jacobi reference lives in the tests
+    found = []
+    for path in sorted(Path(specfactor.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        if "jacobi" in text.lower():
+            found.append(f"{path.name}: jacobi")
+        if path.name != "spectral.py" and "eigvalsh" in text:
+            found.append(f"{path.name}: eigvalsh")
+    assert found == []

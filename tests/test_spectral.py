@@ -1,8 +1,8 @@
-"""Eigenvalue machinery: Jacobi solver, quotients, cubic roots, thresholds.
+"""Eigenvalue machinery: the eigvalsh spectra, quotients, cubic roots, thresholds.
 
-numpy.linalg.eigvalsh serves as the independent reference solver here; the
-package's own numerics never call it.  Cubic roots are cross-checked with a
-plain bisection written inline.
+The package gets its spectra from numpy.linalg.eigvalsh; the cyclic Jacobi
+solver in conftest serves as the independent reference here.  Cubic roots
+are cross-checked with a plain bisection written inline.
 """
 
 from __future__ import annotations
@@ -26,16 +26,17 @@ from specfactor.constructions import (
     extremal_odd_m2,
     extremal_odd_m2_parts,
     extremal_odd_m3,
+    extremal_odd_m3_parts,
     petersen,
     star,
 )
 from specfactor.graph import Graph, disjoint_union
 from specfactor.spectral import (
+    _descending,
     adjacency_matrix,
     cubic_family,
     eigenvalues,
     is_equitable,
-    jacobi_eigenvalues,
     largest_root,
     quotient_eigenvalues,
     quotient_matrix,
@@ -44,7 +45,7 @@ from specfactor.spectral import (
     rho2,
 )
 
-from conftest import random_graph
+from conftest import jacobi_eigenvalues, random_graph
 
 
 def bisect_root(coeffs, lo, hi, steps=200):
@@ -95,8 +96,13 @@ def test_spectrum_returns_plain_floats():
 def test_jacobi_matches_numpy_on_graphs(connected_by_n):
     for g in connected_by_n[6]:
         got = eigenvalues(g)
-        want = sorted(np.linalg.eigvalsh(adjacency_matrix(g)), reverse=True)
-        assert got == pytest.approx(want, abs=1e-9)
+        want = jacobi_eigenvalues(adjacency_matrix(g))
+        assert got == pytest.approx(list(want), abs=1e-9)
+
+
+def test_eigenvalues_refuse_orders_above_the_cap():
+    with pytest.raises(ValueError, match="2048"):
+        eigenvalues(Graph(2049, []))
 
 
 def test_jacobi_rejects_nonsymmetric():
@@ -112,9 +118,9 @@ def test_jacobi_matches_numpy_on_random_symmetric(seed, n):
     rng = np.random.default_rng(seed)
     a = rng.integers(-5, 6, size=(n, n)).astype(float)
     a = (a + a.T) / 2
-    got = jacobi_eigenvalues(a)
-    want = sorted(np.linalg.eigvalsh(a), reverse=True)
-    assert list(got) == pytest.approx(want, abs=1e-8)
+    got = _descending(a)
+    want = jacobi_eigenvalues(a)
+    assert got == pytest.approx(list(want), abs=1e-8)
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -145,6 +151,19 @@ def test_quotient_matrix_example():
     assert q.tolist() == [[2.0, 2.0], [3.0, 0.0]]
     lam = quotient_eigenvalues(g, parts)
     assert lam[0] == pytest.approx(1 + math.sqrt(7), abs=1e-12)
+
+
+def test_quotient_eigenvalues_match_jacobi_on_extremal_parts():
+    # B = quotient_matrix is similar to S^1/2 B S^-1/2 (S the part sizes), which is symmetric
+    cases = [(extremal_even(r, m), extremal_even_parts(r, m)) for r, m in ((4, 2), (6, 2), (6, 4), (7, 6))]
+    cases += [(extremal_odd_m1(r), extremal_odd_m1_parts(r)) for r in (3, 5, 7)]
+    cases += [(extremal_odd_m2(r), extremal_odd_m2_parts(r)) for r in (4, 6, 8)]
+    cases += [(extremal_odd_m3(r, m), extremal_odd_m3_parts(r, m)) for r, m in ((5, 3), (7, 5), (6, 4))]
+    for g, parts in cases:
+        q = quotient_matrix(g, parts)
+        sizes = np.array([len(p) for p in parts], dtype=float)
+        sym = np.sqrt(sizes)[:, None] * q / np.sqrt(sizes)[None, :]
+        assert quotient_eigenvalues(g, parts) == pytest.approx(list(jacobi_eigenvalues(sym)), abs=1e-9)
 
 
 def test_quotient_matrix_row_sums_and_symmetry_law():
