@@ -149,7 +149,7 @@ def enumerate_connected_regular(n: int, r: int) -> list[Graph]:
 
 
 def random_regular(n: int, r: int, seed: int, tries: int = 2000) -> Graph:
-    """Connected r-regular graph from the stub-pairing model with rejection."""
+    """Connected r-regular graph by Steger-Wormald stub pairing (see _pair_degrees)."""
     if n < 1 or r < 0 or r >= n:
         raise ValueError("need 0 <= r < n")
     if (n * r) % 2 != 0:
@@ -158,28 +158,52 @@ def random_regular(n: int, r: int, seed: int, tries: int = 2000) -> Graph:
     degrees = [r] * n
     g = _pair_degrees(degrees, rng, tries)
     if g is None:
-        raise RuntimeError("rejection budget exhausted generating a regular graph")
+        raise RuntimeError("pairing budget exhausted generating a regular graph")
     return g
 
 
 def _pair_degrees(degrees: list[int], rng: random.Random, tries: int) -> Graph | None:
+    """Connected simple graph with the given degrees by Steger-Wormald pairing
+    (CPC 8, 1999): each step draws uniformly among the free stub pairs that add
+    no loop or double edge, and an attempt restarts only when none is left or
+    the graph is disconnected.  Asymptotically, not exactly, uniform."""
     n = len(degrees)
     stubs = [v for v in range(n) for _ in range(degrees[v])]
+    rand = rng.random
     for _ in range(tries):
-        rng.shuffle(stubs)
-        edges = set()
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            if u == v or (min(u, v), max(u, v)) in edges:
-                ok = False
-                break
-            edges.add((min(u, v), max(u, v)))
-        if not ok:
-            continue
-        g = Graph(n, sorted(edges))
-        if g.is_connected():
-            return g
+        free = stubs[:]
+        rows = [0] * n
+        misses = 0
+        while free:
+            size = len(free)
+            i = int(rand() * size)
+            j = int(rand() * (size - 1))
+            j += j >= i
+            u, v = free[i], free[j]
+            if u == v or rows[u] >> v & 1:
+                misses += 1
+                if misses <= size:
+                    continue
+                # many misses in a row: list the valid pairs, if any are left
+                valid = [
+                    (a, b)
+                    for a, b in combinations(range(size), 2)
+                    if free[a] != free[b] and not rows[free[a]] >> free[b] & 1
+                ]
+                if not valid:
+                    break
+                i, j = valid[int(rand() * len(valid))]
+                u, v = free[i], free[j]
+            misses = 0
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+            for k in (max(i, j), min(i, j)):
+                free[k] = free[-1]
+                free.pop()
+        else:
+            g = Graph.from_rows(rows)
+            if g.is_connected():
+                return g
     return None
 
 
@@ -215,7 +239,8 @@ def random_class_member(
 
     rng = random.Random(seed)
     if n_choices is None:
-        n_choices = tuple(n for n in range(r + 1, r + 16) if n % 2 == want)
+        first = r + 1 if (r + 1) % 2 == want else r + 2
+        n_choices = tuple(range(first, r + 16, 2))
     else:
         n_choices = tuple(n_choices)
         if any(n % 2 != want or n < r + 1 for n in n_choices):
@@ -237,4 +262,4 @@ def random_class_member(
         if g.max_degree() != r or g.is_regular():
             raise RuntimeError("sampled class member has the wrong degrees")
         return g
-    raise RuntimeError("rejection budget exhausted generating a class member")
+    raise RuntimeError("pairing budget exhausted generating a class member")

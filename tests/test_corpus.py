@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
 
 from specfactor.canon import canonical_key
 from specfactor.constructions import complete_graph, cycle
 from specfactor.corpus import (
+    _pair_degrees,
     enumerate_connected_graphs,
     enumerate_connected_regular,
     random_class_member,
     random_regular,
 )
 from specfactor.graph import join, complement
+from specfactor.spectral import eigenvalues
 from specfactor.constructions import empty_graph, matching
 
 
@@ -99,6 +104,73 @@ def test_random_regular_basics():
         random_regular(5, 3, seed=0)
     with pytest.raises(ValueError):
         random_regular(4, 5, seed=0)
+
+
+def test_random_regular_succeeds_at_degree_six_and_seven():
+    # the pairing model yields a simple 6-regular graph with probability
+    # about exp(-35/4); drawing only valid pairs makes these routine
+    for n, r in ((20, 6), (60, 6), (20, 7)):
+        for seed in range(10):
+            g = random_regular(n, r, seed=seed)
+            assert g.degrees() == (r,) * n and g.is_connected()
+
+
+def test_pair_degrees_gives_up_on_impossible_sequences():
+    rng = random.Random(0)
+    assert _pair_degrees([4, 4, 4, 4, 2], rng, 20) is None  # not graphical
+
+
+def _automorphism_count(g) -> int:
+    """Vertex permutations preserving adjacency, by plain backtracking."""
+    n, rows = g.n, g.rows
+    image = [0] * n
+
+    def extend(v: int, used: int) -> int:
+        if v == n:
+            return 1
+        total = 0
+        for w in range(n):
+            if used >> w & 1 or rows[w].bit_count() != rows[v].bit_count():
+                continue
+            if all((rows[v] >> u & 1) == (rows[w] >> image[u] & 1) for u in range(v)):
+                image[v] = w
+                total += extend(v + 1, used | 1 << w)
+        return total
+
+    return extend(0, 0)
+
+
+def _class_invariant(g) -> tuple:
+    """Spectrum plus sorted common-neighbour counts; the test checks that it
+    separates the classes it is used on."""
+    rows = g.rows
+    common = tuple(sorted(
+        tuple(sorted((rows[v] & rows[u]).bit_count() for u in range(g.n) if u != v))
+        for v in range(g.n)
+    ))
+    return tuple(round(x, 6) for x in eigenvalues(g)), common
+
+
+# (n, r, labeled connected r-regular graphs): A002829 gives 19355 labeled
+# cubic graphs on 8 vertices, 35 of them 2K4; A005815 gives 66462606
+# labeled quartic graphs on 10 vertices, 126 of them 2K5
+@pytest.mark.parametrize("n,r,labeled", [(8, 3, 19320), (10, 4, 66462480)])
+def test_random_regular_is_close_to_uniform(n, r, labeled):
+    # Steger-Wormald pairing is only asymptotically uniform: compare the
+    # class frequencies of 4000 draws (seeds 0..3999) with the exact ones,
+    # n!/|Aut(G)| per class, in total-variation distance.  An exactly uniform
+    # sampler reads about 0.005 and 0.035 here, the sampling noise of 4000
+    # draws; the bound was fixed before any run and catches gross bias only.
+    classes = enumerate_connected_regular(n, r)
+    weight = {_class_invariant(g): math.factorial(n) // _automorphism_count(g) for g in classes}
+    assert len(weight) == len(classes)
+    assert sum(weight.values()) == labeled
+    draws = 4000
+    counts = dict.fromkeys(weight, 0)
+    for seed in range(draws):
+        counts[_class_invariant(random_regular(n, r, seed=seed))] += 1
+    tv = 0.5 * sum(abs(counts[k] / draws - w / labeled) for k, w in weight.items())
+    assert tv <= 0.10
 
 
 @pytest.mark.parametrize("r,m,parity", [

@@ -74,6 +74,15 @@ def test_even_family_minimality_campaign():
     assert rep.margins["min"] >= -1e-9
 
 
+def test_even_family_campaign_at_degree_six():
+    # at r = 6 rejecting whole stub pairings needs thousands of shuffles per
+    # member, more than the budget on these seeds
+    for seed in (1, 2):
+        rep = verify_thm_2_1(6, 2, samples=60, seed=seed)
+        assert rep.passed
+        assert rep.tested == rep.conclusion_count == 61
+
+
 def test_odd_family_m1_campaign():
     rep = verify_thm_2_2(3, 1, samples=6, seed=1)
     assert rep.passed
