@@ -22,7 +22,7 @@ from .graph import (
     join,
 )
 from .graph6 import Graph6Error, parse_graph6, to_graph6
-from .constructions import ConstructionSpec, build
+from .constructions import build
 from .spectral import (
     SpectralThreshold,
     cubic_family,
@@ -72,7 +72,6 @@ from .theorems import (
 __all__ = [
     "Graph",
     "Graph6Error",
-    "ConstructionSpec",
     "SpectralThreshold",
     "FactorReport",
     "DeltaBreakdown",

@@ -71,11 +71,13 @@ def _read_graphs(args) -> list[Graph]:
     return graphs
 
 
+def _batch(results: list[dict]) -> dict:
+    """One result is the payload itself; several go under "results"."""
+    return results[0] if len(results) == 1 else {"results": results}
+
+
 def _per_graph(args, fn) -> dict:
-    results = [fn(g) for g in _read_graphs(args)]
-    if len(results) == 1:
-        return results[0]
-    return {"results": results}
+    return _batch([fn(g) for g in _read_graphs(args)])
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -105,16 +107,12 @@ def _cmd_threshold(args):
 
 
 def _cmd_extremal(args):
-    spec = constructions.ConstructionSpec(
-        family=args.family,
-        n=args.n,
-        r=args.r,
-        m=args.m,
-        lengths=_int_list(args.lengths) if args.lengths else None,
-    )
-    g = constructions.build(spec)
+    params = {k: getattr(args, k) for k in ("n", "r", "m") if getattr(args, k) is not None}
+    if args.lengths:
+        params["lengths"] = _int_list(args.lengths)
+    g = constructions.build(args.family, **params)
     payload = {
-        "params": spec.params(),
+        "params": {"family": args.family, **params},
         "graph6": to_graph6(g),
         "n": g.n,
         "edges": g.edge_count,
@@ -179,25 +177,19 @@ def _cmd_verify(args):
     elif args.sub == "thm2.2":
         report = theorems.verify_thm_2_2(args.r, args.m, args.samples, seed=args.seed)
     elif args.sub == "thm3.2":
-        report = theorems.verify_thm_3_2(
-            args.r, args.k, args.m, _regular_corpus(args.r, args.nmax), tol=args.tolerance
-        )
+        report = theorems.verify_thm_3_2(args.r, args.k, args.m, _regular_corpus(args.r, args.nmax))
     elif args.sub == "thm3.3":
-        report = theorems.verify_thm_3_3(
-            args.r, args.k, args.m, _regular_corpus(args.r, args.nmax), tol=args.tolerance
-        )
+        report = theorems.verify_thm_3_3(args.r, args.k, args.m, _regular_corpus(args.r, args.nmax))
     elif args.sub == "lemma3.1":
         st = None
         if args.s or args.t:
             st = (_int_list(args.s), _int_list(args.t))
-        results = []
-        ok = True
-        for g in _read_graphs(args):
-            res = theorems.check_lemma_3_1(g, args.k, args.m, st=st, cap=args.cap)
-            results.append(res.to_dict())
-            ok = ok and (not res.applicable or res.satisfied)
-        payload = results[0] if len(results) == 1 else {"results": results}
-        return payload, "ok" if ok else "counterexample"
+        results = [
+            theorems.check_lemma_3_1(g, args.k, args.m, st=st, cap=args.cap)
+            for g in _read_graphs(args)
+        ]
+        ok = all(not res.applicable or res.satisfied for res in results)
+        return _batch([res.to_dict() for res in results]), "ok" if ok else "counterexample"
     else:
         rep = theorems.ordering_report(args.r)
         return rep, "ok" if rep["min_is_f1"] else "counterexample"
@@ -281,7 +273,6 @@ def _build_parser() -> _Parser:
         q.add_argument("--k", type=int, required=True)
         q.add_argument("--m", type=int, required=True)
         q.add_argument("--nmax", type=int, default=10)
-        q.add_argument("--tolerance", type=float, default=1e-9)
     q = vsub.add_parser("lemma3.1", help="structural deficiency certificate")
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--m", type=int, required=True)

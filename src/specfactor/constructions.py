@@ -6,7 +6,6 @@ construction order) so that quotient partitions are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .graph import Graph, complement, disjoint_union, join
@@ -189,85 +188,41 @@ def aux_claw_parts(r: int) -> list[list[int]]:
     return [[0], [1, 2, 3], list(range(4, r + 2))]
 
 
-# -- parameterized build interface -----------------------------------------
+# -- build by family name ------------------------------------------------
+
+# family -> (constructor, required parameters in argument order)
+_FAMILIES = {
+    "complete": (complete_graph, ("n",)),
+    "path": (path, ("n",)),
+    "cycle": (cycle, ("n",)),
+    "star": (star, ("n",)),
+    "matching": (matching, ("n",)),
+    "cycle-union": (cycles_union, ("lengths",)),
+    "cocktail-party": (cocktail_party, ("n",)),
+    "petersen": (petersen, ()),
+    "extremal-even": (extremal_even, ("r", "m")),
+    "extremal-odd-m3": (extremal_odd_m3, ("r", "m")),
+    "extremal-odd-m1": (extremal_odd_m1, ("r",)),
+    "extremal-odd-m2": (extremal_odd_m2, ("r",)),
+    "aux-two-p3": (aux_two_p3, ("r",)),
+    "aux-claw": (aux_claw, ("r",)),
+}
 
 
-@dataclass(frozen=True)
-class ConstructionSpec:
-    """Family name plus parameters, addressable from the CLI.
+def build(family: str, **params) -> Graph:
+    """Instantiate a named family from keyword parameters n, r, m, lengths.
 
-    Families: complete, path, cycle, star, matching, cycle-union,
-    cocktail-party, petersen, extremal-even, extremal-odd-m3,
-    extremal-odd-m1, extremal-odd-m2, aux-two-p3, aux-claw.
+    Each family takes the parameters it requires and ignores the rest;
+    extremal-odd-m3 also takes an optional cycle layout `lengths`.
     """
-
-    family: str
-    n: int | None = None
-    r: int | None = None
-    m: int | None = None
-    lengths: tuple[int, ...] | None = None
-
-    def params(self) -> dict:
-        out: dict = {"family": self.family}
-        for k in ("n", "r", "m", "lengths"):
-            v = getattr(self, k)
-            if v is not None:
-                out[k] = list(v) if isinstance(v, tuple) else v
-        return out
-
-
-def build(spec: ConstructionSpec) -> Graph:
-    """Instantiate a ConstructionSpec, validating parameters by family."""
-    fam = spec.family
-
-    def need(*names: str) -> list:
-        vals = []
-        for name in names:
-            v = getattr(spec, name)
-            if v is None:
-                raise ValueError(f"family {fam!r} requires parameter {name!r}")
-            vals.append(v)
-        return vals
-
-    if fam == "complete":
-        (n,) = need("n")
-        return complete_graph(n)
-    if fam == "path":
-        (n,) = need("n")
-        return path(n)
-    if fam == "cycle":
-        (n,) = need("n")
-        return cycle(n)
-    if fam == "star":
-        (n,) = need("n")
-        return star(n)
-    if fam == "matching":
-        (n,) = need("n")
-        return matching(n)
-    if fam == "cycle-union":
-        (lengths,) = need("lengths")
-        return cycles_union(lengths)
-    if fam == "cocktail-party":
-        (n,) = need("n")
-        return cocktail_party(n)
-    if fam == "petersen":
-        return petersen()
-    if fam == "extremal-even":
-        r, m = need("r", "m")
-        return extremal_even(r, m)
-    if fam == "extremal-odd-m3":
-        r, m = need("r", "m")
-        return extremal_odd_m3(r, m, spec.lengths)
-    if fam == "extremal-odd-m1":
-        (r,) = need("r")
-        return extremal_odd_m1(r)
-    if fam == "extremal-odd-m2":
-        (r,) = need("r")
-        return extremal_odd_m2(r)
-    if fam == "aux-two-p3":
-        (r,) = need("r")
-        return aux_two_p3(r)
-    if fam == "aux-claw":
-        (r,) = need("r")
-        return aux_claw(r)
-    raise ValueError(f"unknown construction family {fam!r}")
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown construction family {family!r}")
+    make, required = _FAMILIES[family]
+    args = []
+    for name in required:
+        if params.get(name) is None:
+            raise ValueError(f"family {family!r} requires parameter {name!r}")
+        args.append(params[name])
+    if family == "extremal-odd-m3":
+        args.append(params.get("lengths"))
+    return make(*args)

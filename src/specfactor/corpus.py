@@ -19,6 +19,8 @@ from .canon import canonical_key, canonical_labeling
 
 _MAX_CONNECTED_N = 8
 _MAX_REGULAR_N = 10
+# attempts before a sampler gives up
+_TRIES = 2000
 
 _connected_cache: dict[int, list[Graph]] = {}
 _regular_cache: dict[tuple[int, int], list[Graph]] = {}
@@ -148,7 +150,7 @@ def enumerate_connected_regular(n: int, r: int) -> list[Graph]:
     return out
 
 
-def random_regular(n: int, r: int, seed: int, tries: int = 2000) -> Graph:
+def random_regular(n: int, r: int, seed: int) -> Graph:
     """Connected r-regular graph by Steger-Wormald stub pairing (see _pair_degrees)."""
     if n < 1 or r < 0 or r >= n:
         raise ValueError("need 0 <= r < n")
@@ -156,7 +158,7 @@ def random_regular(n: int, r: int, seed: int, tries: int = 2000) -> Graph:
         raise ValueError("n*r must be even")
     rng = random.Random(seed)
     degrees = [r] * n
-    g = _pair_degrees(degrees, rng, tries)
+    g = _pair_degrees(degrees, rng, _TRIES)
     if g is None:
         raise RuntimeError("pairing budget exhausted generating a regular graph")
     return g
@@ -207,19 +209,13 @@ def _pair_degrees(degrees: list[int], rng: random.Random, tries: int) -> Graph |
     return None
 
 
-def random_class_member(
-    r: int,
-    m: int,
-    parity: str,
-    seed: int,
-    n_choices: tuple[int, ...] | None = None,
-    tries: int = 2000,
-) -> Graph:
+def random_class_member(r: int, m: int, parity: str, seed: int) -> Graph:
     """Connected irregular graph with max degree r and 2e >= rn - m, its
     order parity set by the family (even: n opposite to r, odd: n same as r).
 
-    Built by imposing a degree deficit d <= m (d == m mod 2, so rn - d is
-    even) on a random degree sequence and pairing stubs; vertex 0 keeps
+    The order n is drawn from the admissible orders in [r + 1, r + 15].  A
+    degree deficit d <= m (d == m mod 2, so rn - d is even) is imposed
+    on a random degree sequence and the stubs are paired; vertex 0 keeps
     degree r so the maximum is exact.
     """
     if parity == "even":
@@ -238,16 +234,10 @@ def random_class_member(
         raise ValueError("parity must be 'even' or 'odd'")
 
     rng = random.Random(seed)
-    if n_choices is None:
-        first = r + 1 if (r + 1) % 2 == want else r + 2
-        n_choices = tuple(range(first, r + 16, 2))
-    else:
-        n_choices = tuple(n_choices)
-        if any(n % 2 != want or n < r + 1 for n in n_choices):
-            raise ValueError("n choices violate the family order constraints")
-
+    first = r + 1 if (r + 1) % 2 == want else r + 2
+    n_choices = range(first, r + 16, 2)
     lo = 2 if m % 2 == 0 else 1
-    for _ in range(tries):
+    for _ in range(_TRIES):
         n = rng.choice(n_choices)
         degrees = [r] * n
         left = rng.randrange(lo, m + 1, 2)

@@ -144,69 +144,49 @@ def cubic_family(which: str, r: int) -> tuple[float, float, float, float]:
     raise ValueError(f"unknown cubic family {which!r}")
 
 
-def largest_root(coeffs: Sequence[float], hi: float | None = None) -> float:
-    """Greatest real root of a monic cubic, isolated in [0, hi] by sign scan.
+def largest_root(coeffs: Sequence[float]) -> float:
+    """Greatest real root of a monic cubic, by bisection on a bracket that
+    holds no other root.
 
-    Bisection brings the bracket below 1e-13, then a few Newton steps polish
-    the result.  Raises if no sign change lands in the bracket, which for the
-    threshold cubics signals a caller bug.
+    A monic cubic increases outside its critical points c1 <= c2.  If
+    p(c2) <= 0 the greatest root lies in [c2, B], otherwise in [-B, c1];
+    with no real critical point, p increases everywhere and [-B, B] holds
+    the only real root.  B is the Cauchy bound.  Bisection runs until the
+    midpoint equals an endpoint.  Raises if the greatest root is negative,
+    which for the threshold cubics signals a caller bug.
     """
     if len(coeffs) != 4:
         raise ValueError("expected 4 cubic coefficients")
     a3, b, c, d = (float(x) for x in coeffs)
     if a3 != 1.0:
         raise ValueError("leading coefficient must be 1")
+    if not all(math.isfinite(x) for x in (b, c, d)):
+        raise ValueError("coefficients must be finite")
 
     def p(x: float) -> float:
         return ((x + b) * x + c) * x + d
 
-    def dp(x: float) -> float:
-        return (3.0 * x + 2.0 * b) * x + c
-
-    if hi is None:
-        hi = 1.0 + max(abs(b), abs(c), abs(d))  # Cauchy bound
-    for _ in range(8):
-        if p(hi) > 0.0:
+    bound = 1.0 + max(abs(b), abs(c), abs(d))
+    lo, hi = -bound, bound
+    disc = b * b - 3.0 * c  # p'(x) = 3x^2 + 2bx + c
+    if disc >= 0.0:
+        c1 = (-b - math.sqrt(disc)) / 3.0
+        c2 = (-b + math.sqrt(disc)) / 3.0
+        if p(c2) <= 0.0:
+            lo = c2
+        else:
+            hi = c1
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
             break
-        hi *= 2.0
-    else:
-        raise ValueError("could not bracket the greatest root from above")
-
-    # rightmost sign change on a descending grid
-    steps = 4096
-    lo = None
-    x_hi = hi
-    for i in range(1, steps + 1):
-        x = hi * (steps - i) / steps
-        if p(x) <= 0.0:
-            lo = x
-            break
-        x_hi = x
-    if lo is None:
-        raise ValueError("no real root in [0, hi]")
-
-    for _ in range(200):
-        if x_hi - lo < 1e-13 * max(1.0, abs(x_hi)):
-            break
-        mid = 0.5 * (lo + x_hi)
         if p(mid) <= 0.0:
             lo = mid
         else:
-            x_hi = mid
-    root = 0.5 * (lo + x_hi)
-
-    best, best_val = root, abs(p(root))
-    x = root
-    for _ in range(8):
-        slope = dp(x)
-        if slope == 0.0:
-            break
-        x = x - p(x) / slope
-        if not lo - 1e-9 <= x <= x_hi + 1e-9:
-            break
-        if abs(p(x)) < best_val:
-            best, best_val = x, abs(p(x))
-    return best
+            hi = mid
+    if lo < 0.0:
+        raise ValueError("the greatest real root is negative")
+    return lo
 
 
 @dataclass(frozen=True)
@@ -253,7 +233,7 @@ def rho2(r: int, m: int) -> SpectralThreshold:
         disc = (r + 3) ** 2 - 4 * m
         return SpectralThreshold(0.5 * (r - 3 + math.sqrt(disc)), "closed-form-odd", r, m)
     if m == 1:
-        value = largest_root(cubic_family("P", r), hi=r + 1.0)
+        value = largest_root(cubic_family("P", r))
         return SpectralThreshold(value, "cubic-m1", r, m)
-    value = largest_root(cubic_family("f1", r), hi=r + 1.0)
+    value = largest_root(cubic_family("f1", r))
     return SpectralThreshold(value, "cubic-m2", r, m)

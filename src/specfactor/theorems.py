@@ -189,16 +189,17 @@ def _corpus_list(corpus, r: int) -> list[Graph]:
     return graphs
 
 
-def verify_thm_3_2(r: int, k: int, m: int, corpus, tol: float = _TOL) -> CampaignReport:
+def verify_thm_3_2(r: int, k: int, m: int, corpus) -> CampaignReport:
     """Regular graphs: small lambda2 (odd order) forces k-criticality, small
     lambda3 (even order) forces a k-factor; threshold rho1(r, m0 - 1)."""
     if r % 2 != 0 or k % 2 != 1 or not 1 <= k < r:
         raise ValueError("need r even and odd k with 1 <= k < r")
-    if m < 3:
+    if m < 3:  # (6, 3, 2) meets condition (i), but rho1(r, m0 - 1) needs m0 >= 3
         raise ValueError("need m >= 3")
-    if not r <= k * m <= r * (m - 1):
+    profile = classify_hypothesis(r, k, m, "even")
+    if profile.condition != "i":
         raise ValueError("need r <= k*m <= r*(m-1)")
-    m0 = m if m % 2 == 1 else m - 1
+    m0 = profile.m0
     threshold = rho1(r, m0 - 1)
     graphs = _corpus_list(corpus, r)
     report = CampaignReport(
@@ -211,7 +212,7 @@ def verify_thm_3_2(r: int, k: int, m: int, corpus, tol: float = _TOL) -> Campaig
         odd = g.n % 2 == 1
         lam = spec[1] if odd else spec[2]
         margins.append(lam - threshold.value)
-        if lam < threshold.value - tol:
+        if lam < threshold.value - _TOL:
             report.hypothesis_count += 1
             ok = is_k_critical(g, k) if odd else k_factor(g, k).exists
             if ok:
@@ -232,7 +233,7 @@ def verify_thm_3_2(r: int, k: int, m: int, corpus, tol: float = _TOL) -> Campaig
     return report
 
 
-def verify_thm_3_3(r: int, k: int, m: int, corpus, tol: float = _TOL) -> CampaignReport:
+def verify_thm_3_3(r: int, k: int, m: int, corpus) -> CampaignReport:
     """Odd-r regular graphs: lambda3 below the m-parity threshold forces a k-factor."""
     profile = classify_hypothesis(r, k, m, "even")
     if r % 2 != 1 or profile.condition not in ("ii", "iii"):
@@ -254,7 +255,7 @@ def verify_thm_3_3(r: int, k: int, m: int, corpus, tol: float = _TOL) -> Campaig
         lam3 = spec[2]
         margins.append(lam3 - stated)
         report.tested += 1
-        if lam3 < stated - tol:
+        if lam3 < stated - _TOL:
             report.hypothesis_count += 1
             if k_factor(g, k).exists:
                 report.conclusion_count += 1
@@ -267,7 +268,7 @@ def verify_thm_3_3(r: int, k: int, m: int, corpus, tol: float = _TOL) -> Campaig
     if m % 2 == 1 and m >= 3:
         variants["rho2(r,m-2)"] = rho2(r, m - 2).value
     supported = {
-        name: all(lam >= value - tol for lam in no_factor_lam3)
+        name: all(lam >= value - _TOL for lam in no_factor_lam3)
         for name, value in variants.items()
     }
     report.details = {

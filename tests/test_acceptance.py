@@ -72,7 +72,7 @@ def test_criterion_01_extremal_spectra_match_closed_forms():
 def test_criterion_02a_cubic_case_odd_r():
     for r in range(3, 12, 2):
         lam1 = eigenvalues(extremal_odd_m1(r))[0]
-        root = largest_root(cubic_family("P", r), hi=r + 1.0)
+        root = largest_root(cubic_family("P", r))
         assert lam1 == pytest.approx(root, abs=TOL), r
 
 
@@ -84,9 +84,9 @@ def test_criterion_02b_cubic_case_even_r():
     # the class reaches)
     for r in range(4, 13, 2):
         lam1 = eigenvalues(extremal_odd_m2(r))[0]
-        root_q = largest_root(cubic_family("Q", r), hi=r + 1.0)
+        root_q = largest_root(cubic_family("Q", r))
         assert lam1 == pytest.approx(root_q, abs=TOL), r
-        root_f1 = largest_root(cubic_family("f1", r), hi=r + 1.0)
+        root_f1 = largest_root(cubic_family("f1", r))
         assert root_f1 < r - 2 / (r + 2), r
 
 

@@ -178,6 +178,15 @@ def test_json_flag_is_gone(capsys):
     assert "usage error" in err.err
 
 
+def test_tolerance_flag_is_gone(capsys):
+    code, env, err = run_cli(
+        capsys, "verify", "thm3.3", "--r", "3", "--k", "2", "--m", "3", "--tolerance", "1e-6"
+    )
+    assert code == 1
+    assert env["status"] == "error"
+    assert "usage error" in err.err
+
+
 def test_bad_flags_exit_one(capsys):
     code = main(["threshold", "--family", "rho9", "--r", "4", "--m", "2"])
     out = capsys.readouterr()

@@ -9,7 +9,6 @@ from __future__ import annotations
 import pytest
 
 from specfactor.constructions import (
-    ConstructionSpec,
     aux_claw,
     aux_claw_parts,
     aux_two_p3,
@@ -181,20 +180,20 @@ def test_parts_cover_vertices():
 
 
 def test_build_dispatch():
-    assert build(ConstructionSpec("complete", n=5)) == complete_graph(5)
-    assert build(ConstructionSpec("petersen")) == petersen()
-    assert build(ConstructionSpec("extremal-even", r=4, m=2)) == extremal_even(4, 2)
-    assert build(ConstructionSpec("cycle-union", lengths=(3, 4))) == cycles_union([3, 4])
-    assert build(ConstructionSpec("extremal-odd-m3", r=5, m=5, lengths=(5,))) == extremal_odd_m3(5, 5)
+    assert build("complete", n=5) == complete_graph(5)
+    assert build("petersen") == petersen()
+    assert build("extremal-even", r=4, m=2) == extremal_even(4, 2)
+    assert build("cycle-union", lengths=(3, 4)) == cycles_union([3, 4])
+    assert build("extremal-odd-m3", r=5, m=5, lengths=(5,)) == extremal_odd_m3(5, 5)
 
 
 def test_build_errors():
     with pytest.raises(ValueError, match="unknown construction family"):
-        build(ConstructionSpec("nonesuch", n=3))
+        build("nonesuch", n=3)
     with pytest.raises(ValueError, match="requires parameter"):
-        build(ConstructionSpec("complete"))
+        build("complete")
     with pytest.raises(ValueError, match="requires parameter"):
-        build(ConstructionSpec("extremal-even", r=4))
+        build("extremal-even", r=4)
 
 
 def test_construction_labeling_is_deterministic():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
@@ -40,3 +41,18 @@ def test_one_production_eigensolver():
         if path.name != "spectral.py" and "eigvalsh" in text:
             found.append(f"{path.name}: eigvalsh")
     assert found == []
+
+
+def test_traced_names_are_bound():
+    # the benchmark's traced run swaps these names for wrappers; a refactor
+    # that drops one of them breaks it without failing any other test
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{ns.__name__}.{attr}"
+        for ns, attr, *_ in tracing._wrap_points()
+        if not hasattr(ns, attr)
+    ]
+    assert missing == []

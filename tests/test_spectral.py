@@ -236,17 +236,31 @@ def test_cubic_family_coefficients():
 
 def test_largest_root_against_bisection():
     p3 = cubic_family("P", 3)
-    assert largest_root(p3, hi=4.0) == pytest.approx(bisect_root(p3, 2.0, 4.0), abs=1e-12)
-    assert largest_root(p3, hi=4.0) == pytest.approx(2.8557725066359887, abs=1e-12)
+    assert largest_root(p3) == pytest.approx(bisect_root(p3, 2.0, 4.0), abs=1e-12)
+    assert largest_root(p3) == pytest.approx(2.8557725066359887, abs=1e-12)
     f1 = cubic_family("f1", 4)
-    assert largest_root(f1, hi=5.0) == pytest.approx(bisect_root(f1, 3.0, 5.0), abs=1e-12)
-    assert largest_root(f1, hi=5.0) == pytest.approx(3.6261980685272936, abs=1e-12)
+    assert largest_root(f1) == pytest.approx(bisect_root(f1, 3.0, 5.0), abs=1e-12)
+    assert largest_root(f1) == pytest.approx(3.6261980685272936, abs=1e-12)
+    # roots 0.5, 2 and 2.0001: the dip between the two close roots is narrow;
+    # p' is only 1.5e-4 there, so rounding in p blurs the root over about 1e-11
+    close = (1.0, -4.5001, 6.00025, -2.0001)
+    assert largest_root(close) == pytest.approx(bisect_root(close, 2.00005, 3.0), abs=1e-9)
+    # (x - 1)(x^2 - 6x + 10): the only real root lies left of both critical points
+    left = (1.0, -7.0, 16.0, -10.0)
+    assert largest_root(left) == pytest.approx(bisect_root(left, 0.0, 2.0), abs=1e-12)
 
 
 def test_largest_root_triple_root():
     # (x-1)^3: a flat root only resolves to about the cube root of the
     # bracket width; the threshold cubics all have simple greatest roots
     assert largest_root((1.0, -3.0, 3.0, -1.0)) == pytest.approx(1.0, abs=1e-4)
+
+
+def test_largest_root_rejects_non_finite_coefficients():
+    # a NaN or infinite bracket would never shrink
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            largest_root((1.0, 0.0, bad, -1.0))
 
 
 def test_largest_root_validation():

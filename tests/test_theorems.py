@@ -117,7 +117,7 @@ def test_odd_family_m2_class_minimum_is_the_construction(connected_by_n):
             if g.max_degree() <= 4 and 2 * g.edge_count == 4 * n - 2
         ]
 
-    root_q = largest_root(cubic_family("Q", 4), hi=5.0)
+    root_q = largest_root(cubic_family("Q", 4))
     six = members(6)
     assert len(six) == 3
     radii = [eigenvalues(g)[0] for g in six]
