@@ -47,7 +47,6 @@ from .oracle import (
     STPair,
     brute_force_deficiency,
     brute_force_has_k_factor,
-    count_k_odd_components,
     delta,
 )
 from .corpus import (
@@ -87,7 +86,6 @@ __all__ = [
     "classify_hypothesis",
     "complement",
     "connected_components",
-    "count_k_odd_components",
     "cubic_family",
     "deficiency",
     "delta",

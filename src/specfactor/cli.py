@@ -110,13 +110,23 @@ def _cmd_extremal(args):
     params = {k: getattr(args, k) for k in ("n", "r", "m") if getattr(args, k) is not None}
     if args.lengths:
         params["lengths"] = _int_list(args.lengths)
+    # a family's order is at least each parameter it reads, so refuse what
+    # eigenvalues would before building it
+    cap = spectral.MAX_ORDER
+    for name in constructions.parameters(args.family):
+        size = params.get(name) or 0
+        if isinstance(size, tuple):  # a cycle layout
+            size = sum(map(abs, size))
+        if size > cap:
+            raise ValueError(f"--{name} gives {size} or more vertices, above the cap of {cap}")
     g = constructions.build(args.family, **params)
+    lambda1 = spectral.eigenvalues(g)[0] if g.n else None
     payload = {
         "params": {"family": args.family, **params},
         "graph6": to_graph6(g),
         "n": g.n,
         "edges": g.edge_count,
-        "lambda1": spectral.eigenvalues(g)[0] if g.n else None,
+        "lambda1": lambda1,
     }
     return payload, "ok"
 
@@ -156,9 +166,9 @@ def _cmd_oracle(args):
                 "delta": bd.delta,
             }
         if args.sub == "deficiency":
-            value, pair = oracle.brute_force_deficiency(g, args.k, cap=args.cap)
+            value, pair = oracle.brute_force_deficiency(g, args.k)
             return {"deficiency": value, "s": list(pair.s), "t": list(pair.t)}
-        return {"exists": oracle.brute_force_has_k_factor(g, args.k, cap=args.cap)}
+        return {"exists": oracle.brute_force_has_k_factor(g, args.k)}
 
     return _per_graph(args, one), "ok"
 
@@ -185,7 +195,7 @@ def _cmd_verify(args):
         if args.s or args.t:
             st = (_int_list(args.s), _int_list(args.t))
         results = [
-            theorems.check_lemma_3_1(g, args.k, args.m, st=st, cap=args.cap)
+            theorems.check_lemma_3_1(g, args.k, args.m, st=st)
             for g in _read_graphs(args)
         ]
         ok = all(not res.applicable or res.satisfied for res in results)
@@ -256,7 +266,6 @@ def _build_parser() -> _Parser:
     ):
         q = osub.add_parser(name, help=helptext)
         q.add_argument("--k", type=int, required=True)
-        q.add_argument("--cap", type=int, default=oracle._DEFAULT_CAP)
         add_graph_arg(q)
 
     p = sub.add_parser("verify", help="run a verification campaign")
@@ -278,7 +287,6 @@ def _build_parser() -> _Parser:
     q.add_argument("--m", type=int, required=True)
     q.add_argument("--s", default="", help="known optimal S, comma-separated")
     q.add_argument("--t", default="", help="known optimal T, comma-separated")
-    q.add_argument("--cap", type=int, default=oracle._DEFAULT_CAP)
     add_graph_arg(q)
     q = vsub.add_parser("ordering", help="cubic root ordering report")
     q.add_argument("--r", type=int, required=True)

@@ -190,7 +190,7 @@ def aux_claw_parts(r: int) -> list[list[int]]:
 
 # -- build by family name ------------------------------------------------
 
-# family -> (constructor, required parameters in argument order)
+# family -> (constructor, parameters in argument order)
 _FAMILIES = {
     "complete": (complete_graph, ("n",)),
     "path": (path, ("n",)),
@@ -201,7 +201,7 @@ _FAMILIES = {
     "cocktail-party": (cocktail_party, ("n",)),
     "petersen": (petersen, ()),
     "extremal-even": (extremal_even, ("r", "m")),
-    "extremal-odd-m3": (extremal_odd_m3, ("r", "m")),
+    "extremal-odd-m3": (extremal_odd_m3, ("r", "m", "lengths")),
     "extremal-odd-m1": (extremal_odd_m1, ("r",)),
     "extremal-odd-m2": (extremal_odd_m2, ("r",)),
     "aux-two-p3": (aux_two_p3, ("r",)),
@@ -209,20 +209,21 @@ _FAMILIES = {
 }
 
 
+def parameters(family: str) -> tuple[str, ...]:
+    """Names of the parameters a family reads, in argument order; all are
+    required except the cycle layout `lengths` of extremal-odd-m3."""
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown construction family {family!r}")
+    return _FAMILIES[family][1]
+
+
 def build(family: str, **params) -> Graph:
     """Instantiate a named family from keyword parameters n, r, m, lengths.
 
-    Each family takes the parameters it requires and ignores the rest;
-    extremal-odd-m3 also takes an optional cycle layout `lengths`.
+    Each family takes the parameters it reads and ignores the rest.
     """
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown construction family {family!r}")
-    make, required = _FAMILIES[family]
-    args = []
-    for name in required:
-        if params.get(name) is None:
+    names = parameters(family)
+    for name in names:
+        if params.get(name) is None and (family, name) != ("extremal-odd-m3", "lengths"):
             raise ValueError(f"family {family!r} requires parameter {name!r}")
-        args.append(params[name])
-    if family == "extremal-odd-m3":
-        args.append(params.get("lengths"))
-    return make(*args)
+    return _FAMILIES[family][0](*(params.get(name) for name in names))

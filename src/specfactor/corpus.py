@@ -14,7 +14,7 @@ import random
 from itertools import combinations
 from math import comb
 
-from .graph import Graph, bits, component_masks
+from .graph import Graph, bits, complement, component_masks
 from .canon import canonical_key, canonical_labeling
 
 _MAX_CONNECTED_N = 8
@@ -151,24 +151,34 @@ def enumerate_connected_regular(n: int, r: int) -> list[Graph]:
 
 
 def random_regular(n: int, r: int, seed: int) -> Graph:
-    """Connected r-regular graph by Steger-Wormald stub pairing (see _pair_degrees)."""
+    """Connected r-regular graph by Steger-Wormald stub pairing (see _pair_degrees).
+
+    When 2r >= n, the (n-1-r)-regular complement is paired instead, without
+    asking it to be connected, and complemented back.  Complementing is a
+    bijection on labeled graphs, and every such complement is connected: two
+    non-adjacent vertices have r + r >= n > n - 2 neighbours among the other
+    n - 2 vertices, so they share one.
+    """
     if n < 1 or r < 0 or r >= n:
         raise ValueError("need 0 <= r < n")
     if (n * r) % 2 != 0:
         raise ValueError("n*r must be even")
     rng = random.Random(seed)
-    degrees = [r] * n
-    g = _pair_degrees(degrees, rng, _TRIES)
+    dense = 2 * r >= n
+    g = _pair_degrees([n - 1 - r if dense else r] * n, rng, _TRIES, connected=not dense)
     if g is None:
         raise RuntimeError("pairing budget exhausted generating a regular graph")
-    return g
+    return complement(g) if dense else g
 
 
-def _pair_degrees(degrees: list[int], rng: random.Random, tries: int) -> Graph | None:
-    """Connected simple graph with the given degrees by Steger-Wormald pairing
-    (CPC 8, 1999): each step draws uniformly among the free stub pairs that add
-    no loop or double edge, and an attempt restarts only when none is left or
-    the graph is disconnected.  Asymptotically, not exactly, uniform."""
+def _pair_degrees(
+    degrees: list[int], rng: random.Random, tries: int, connected: bool = True
+) -> Graph | None:
+    """Simple graph with the given degrees by Steger-Wormald pairing (CPC 8,
+    1999): each step draws uniformly among the free stub pairs that add no
+    loop or double edge, and an attempt restarts only when none is left or,
+    when connected is set, the graph is disconnected.  Asymptotically, not
+    exactly, uniform."""
     n = len(degrees)
     stubs = [v for v in range(n) for _ in range(degrees[v])]
     rand = rng.random
@@ -204,7 +214,7 @@ def _pair_degrees(degrees: list[int], rng: random.Random, tries: int) -> Graph |
                 free.pop()
         else:
             g = Graph.from_rows(rows)
-            if g.is_connected():
+            if not connected or g.is_connected():
                 return g
     return None
 

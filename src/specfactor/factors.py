@@ -15,7 +15,6 @@ from typing import Mapping, Sequence
 
 from .graph import Graph
 from .matching import _max_matching_adj
-from . import oracle
 
 
 @dataclass(frozen=True)
@@ -24,7 +23,6 @@ class FactorReport:
     degrees: tuple[int, ...]
     edges: tuple[tuple[int, int], ...] | None
     deficiency: int
-    certificate: "oracle.STPair | None" = None
 
 
 def _normalize_spec(g: Graph, spec) -> list[int]:
@@ -117,7 +115,7 @@ def deficiency(g: Graph, k: int) -> int:
     return k * g.n - 2 * nu
 
 
-def has_f_factor(g: Graph, spec, want_certificate: bool = False) -> FactorReport:
+def has_f_factor(g: Graph, spec) -> FactorReport:
     """Decide whether g has a spanning subgraph with degrees exactly f.
 
     One maximum subgraph with deg(v) <= f(v) gives the deficiency
@@ -137,28 +135,19 @@ def has_f_factor(g: Graph, spec, want_certificate: bool = False) -> FactorReport
             degs[v] += 1
         if degs != f:
             raise RuntimeError("factor does not meet its degree spec")
-
-    cert = None
-    if want_certificate and g.n > 0:
-        if len(set(f)) != 1:
-            raise ValueError("certificates need a uniform degree spec")
-        defect2, cert = oracle.brute_force_deficiency(g, f[0])
-        if defect2 != defect:
-            raise RuntimeError("certificate search disagrees with gadget")
     return FactorReport(
         exists=factor is not None,
         degrees=tuple(f),
         edges=factor,
         deficiency=defect,
-        certificate=cert,
     )
 
 
-def k_factor(g: Graph, k: int, want_certificate: bool = False) -> FactorReport:
+def k_factor(g: Graph, k: int) -> FactorReport:
     """Spanning k-regular subgraph query; deficiency is filled in either way."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    return has_f_factor(g, [k] * g.n, want_certificate=want_certificate)
+    return has_f_factor(g, [k] * g.n)
 
 
 def is_k_critical(g: Graph, k: int) -> bool:

@@ -41,7 +41,6 @@ class Graph:
     @classmethod
     def from_rows(cls, rows: Sequence[int]) -> "Graph":
         """Build from adjacency bitmasks; rows must be symmetric and loop-free."""
-        g = cls.__new__(cls)
         n = len(rows)
         full = (1 << n) - 1
         for v, row in enumerate(rows):
@@ -53,7 +52,14 @@ class Graph:
             for u in bits(row):
                 if not (rows[u] >> v) & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
-        g.n = n
+        return cls._trusted(rows)
+
+    @classmethod
+    def _trusted(cls, rows: Sequence[int]) -> "Graph":
+        """Wrap rows that are symmetric and loop-free by construction; the
+        checks of from_rows take time linear in the edge count."""
+        g = cls.__new__(cls)
+        g.n = len(rows)
         g._rows = tuple(rows)
         return g
 
@@ -121,15 +127,12 @@ class Graph:
 def complement(g: Graph) -> Graph:
     """Edge-complement on the same vertex set."""
     full = (1 << g.n) - 1
-    return Graph.from_rows(
-        [(~g.row(v)) & full & ~(1 << v) for v in range(g.n)]
-    )
+    return Graph._trusted([(~g.row(v)) & full & ~(1 << v) for v in range(g.n)])
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     """Vertices of h are relabeled to g.n, ..., g.n + h.n - 1."""
-    rows = list(g.rows) + [r << g.n for r in h.rows]
-    return Graph.from_rows(rows)
+    return Graph._trusted(list(g.rows) + [r << g.n for r in h.rows])
 
 
 def join(g: Graph, h: Graph) -> Graph:
@@ -138,7 +141,7 @@ def join(g: Graph, h: Graph) -> Graph:
     hmask = ((1 << h.n) - 1) << g.n
     rows = [g.row(v) | hmask for v in range(g.n)]
     rows += [(h.row(v) << g.n) | gmask for v in range(h.n)]
-    return Graph.from_rows(rows)
+    return Graph._trusted(rows)
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:

@@ -28,10 +28,9 @@ import numpy as np
 
 from .graph import Graph, bits, component_masks
 
-_DEFAULT_CAP = 14
-# ceiling on any cap: the uint16 pair tables cover exactly n <= 16, and a
-# 3^16 sweep is about 43 million pairs
-_MAX_CAP = 16
+# the uint16 pair tables cover exactly n <= 16; a 3^16 sweep is about 43
+# million pairs
+_MAX_N = 16
 # pair values are int32: |-delta| <= k*n + n*n stays far inside for n <= 16
 _MAX_K = 1 << 26
 # pairs evaluated per array pass; bounds working memory for large n
@@ -88,11 +87,6 @@ def _tau(g: Graph, k: int, smask: int, tmask: int) -> int:
     return count
 
 
-def count_k_odd_components(g: Graph, k: int, st) -> int:
-    smask, tmask = _as_masks(g, st)
-    return _tau(g, k, smask, tmask)
-
-
 def delta(g: Graph, k: int, st) -> DeltaBreakdown:
     smask, tmask = _as_masks(g, st)
     tau = _tau(g, k, smask, tmask)
@@ -108,16 +102,14 @@ def delta(g: Graph, k: int, st) -> DeltaBreakdown:
     )
 
 
-def _check(g: Graph, ks: Sequence[int], cap: int) -> None:
+def _check(g: Graph, ks: Sequence[int]) -> None:
     for k in ks:
         if k < 0:
             raise ValueError("k must be non-negative")
         if k > _MAX_K:
             raise ValueError(f"k must be at most {_MAX_K}")
-    if cap > _MAX_CAP:
-        raise ValueError(f"sweep cap must be at most {_MAX_CAP}, got {cap}")
-    if g.n > cap:
-        raise ValueError(f"exhaustive sweep capped at n <= {cap}, got n = {g.n}")
+    if g.n > _MAX_N:
+        raise ValueError(f"exhaustive sweep capped at n <= {_MAX_N}, got n = {g.n}")
 
 
 @lru_cache(maxsize=None)
@@ -127,8 +119,8 @@ def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     Built in place by adding vertices one at a time: the U that contain the
     new top vertex b follow all older U, and each of them lists its
     submasks with b first (old T | b, descending), then without b (old T,
-    descending).  Keyed by n <= _MAX_CAP, so the cache holds at most 17
-    tables; the one for n = 14 takes 19 MB.
+    descending).  Keyed by n <= _MAX_N, so the cache holds at most 17
+    tables; the one for n = 16 takes about 172 MB and stays cached.
     """
     counts = np.left_shift(1, np.bitwise_count(np.arange(1 << n)), dtype=np.int32)
     t = np.zeros(3**n, np.uint16)
@@ -252,32 +244,30 @@ def _sweep(g: Graph, ks: Sequence[int], collect_for: int | None = None):
     return best, arg, gathered
 
 
-def brute_force_deficiency(g: Graph, k: int, cap: int = _DEFAULT_CAP) -> tuple[int, STPair]:
+def brute_force_deficiency(g: Graph, k: int) -> tuple[int, STPair]:
     """Maximum of -delta over all disjoint (S, T) with a maximizing pair.
 
     The first maximizer in sweep order is returned, so a graph with a
     k-factor always reports (0, (empty, empty)).
     """
-    _check(g, [k], cap)
+    _check(g, [k])
     best, arg, _ = _sweep(g, [k])
     return best[k], _pair(*arg[k])
 
 
-def brute_force_deficiency_multi(
-    g: Graph, ks: Sequence[int], cap: int = _DEFAULT_CAP
-) -> dict[int, tuple[int, STPair]]:
+def brute_force_deficiency_multi(g: Graph, ks: Sequence[int]) -> dict[int, tuple[int, STPair]]:
     """One 3^n sweep serving several k values at once."""
-    _check(g, ks, cap)
+    _check(g, ks)
     best, arg, _ = _sweep(g, list(ks))
     return {k: (best[k], _pair(*arg[k])) for k in ks}
 
 
-def optimal_pairs(g: Graph, k: int, cap: int = _DEFAULT_CAP) -> tuple[int, list[STPair]]:
+def optimal_pairs(g: Graph, k: int) -> tuple[int, list[STPair]]:
     """Deficiency plus every disjoint pair attaining it, in sweep order."""
-    _check(g, [k], cap)
+    _check(g, [k])
     best, _, gathered = _sweep(g, [k], collect_for=k)
     return best[k], [_pair(s, t) for s, t in gathered]
 
 
-def brute_force_has_k_factor(g: Graph, k: int, cap: int = _DEFAULT_CAP) -> bool:
-    return brute_force_deficiency(g, k, cap=cap)[0] == 0
+def brute_force_has_k_factor(g: Graph, k: int) -> bool:
+    return brute_force_deficiency(g, k)[0] == 0

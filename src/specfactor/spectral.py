@@ -17,7 +17,7 @@ import numpy as np
 from .graph import Graph, bits
 
 # a dense n x n float64 matrix takes 8n^2 bytes: 32 MiB at the cap
-_MAX_ORDER = 2048
+MAX_ORDER = 2048
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
@@ -34,8 +34,8 @@ def _descending(sym: np.ndarray) -> list[float]:
 
 def eigenvalues(g: Graph) -> list[float]:
     """Adjacency eigenvalues in descending order (at most 2048 vertices)."""
-    if g.n > _MAX_ORDER:
-        raise ValueError(f"eigenvalues: {g.n} vertices exceeds the cap of {_MAX_ORDER}")
+    if g.n > MAX_ORDER:
+        raise ValueError(f"eigenvalues: {g.n} vertices exceeds the cap of {MAX_ORDER}")
     return _descending(adjacency_matrix(g))
 
 

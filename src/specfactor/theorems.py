@@ -110,8 +110,6 @@ class CampaignReport:
 
 
 def _margin_stats(margins: list[float]) -> dict[str, float]:
-    if not margins:
-        return {}
     return {
         "min": min(margins),
         "max": max(margins),
@@ -220,7 +218,8 @@ def verify_thm_3_2(r: int, k: int, m: int, corpus) -> CampaignReport:
             else:
                 report.counterexamples.append(to_graph6(g))
     report.margins = _margin_stats(margins)
-    rho2_same = rho2(r, m0 - 1).value if (m0 - 1 - r) % 2 == 0 else None
+    # r even and m0 odd, so rho2(r, m0 - 1) is always defined
+    rho2_same = rho2(r, m0 - 1).value
     report.details = {
         "threshold": threshold.value,
         "threshold_kind": threshold.kind,
@@ -228,7 +227,7 @@ def verify_thm_3_2(r: int, k: int, m: int, corpus) -> CampaignReport:
         "rho2_at_same_args": rho2_same,
         # the companion claim min{rho1, rho2}(r, m0-1) = rho1(r, m0-1),
         # checked rather than assumed
-        "min_is_rho1": None if rho2_same is None else threshold.value <= rho2_same,
+        "min_is_rho1": threshold.value <= rho2_same,
     }
     return report
 
@@ -265,7 +264,7 @@ def verify_thm_3_3(r: int, k: int, m: int, corpus) -> CampaignReport:
             no_factor_lam3.append(lam3)
     report.margins = _margin_stats(margins)
     variants = {f"{'rho1' if m % 2 == 1 else 'rho2'}(r,m-1)": stated}
-    if m % 2 == 1 and m >= 3:
+    if m % 2 == 1:  # m = 1 meets neither condition (ii) nor (iii)
         variants["rho2(r,m-2)"] = rho2(r, m - 2).value
     supported = {
         name: all(lam >= value - _TOL for lam in no_factor_lam3)
@@ -309,15 +308,15 @@ def _inapplicable(reason: str) -> Lemma31Result:
     return Lemma31Result(False, reason, None, None, None, (), False)
 
 
-def check_lemma_3_1(
-    g: Graph, k: int, m: int, st: STPair | None = None, cap: int = oracle._DEFAULT_CAP
-) -> Lemma31Result:
+def check_lemma_3_1(g: Graph, k: int, m: int, st: STPair | None = None) -> Lemma31Result:
     """Exhibit def(G)+1 disjoint induced subgraphs with 2e(H) >= r|H| - (m-1).
 
     Candidates are components of G - (S u T) for a deficiency-optimal pair;
     a component C qualifies exactly when e(C, S u T) <= m-1, since regularity
     gives 2e(C) = r|C| - e(C, S u T).  Every optimal pair is scanned unless
-    the caller supplies one (needed when n exceeds the sweep cap).
+    the caller supplies one, which graphs above the sweep's 16 vertices
+    need.  The sweep's pair table for n = 16 takes about 172 MB and stays
+    cached.
     """
     if g.n == 0 or not g.is_connected():
         return _inapplicable("input graph is not connected")
@@ -344,7 +343,7 @@ def check_lemma_3_1(
             raise ValueError("supplied (S,T) is not deficiency-optimal")
         pairs = [st]
     else:
-        value, pairs = oracle.optimal_pairs(g, k, cap=cap)
+        value, pairs = oracle.optimal_pairs(g, k)
         if value != defc:
             raise RuntimeError("sweep and factor-engine deficiencies disagree")
 

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from specfactor import cli
 from specfactor.cli import main
 from specfactor.constructions import cycle
 from specfactor.graph import Graph
@@ -98,10 +99,22 @@ def test_oracle_subcommands(capsys):
 def test_oracle_refuses_cap_above_ceiling(capsys):
     big = to_graph6(cycle(40))
     for sub in ("deficiency", "factor"):
-        code, env, err = run_cli(capsys, "oracle", sub, "--k", "1", "--cap", "40", big)
+        code, env, err = run_cli(capsys, "oracle", sub, "--k", "1", big)
         assert code == 1
         assert env["status"] == "error"
-        assert "at most 16" in env["payload"]["error"]
+        assert "n <= 16" in env["payload"]["error"]
+
+
+def test_cap_flag_is_gone(capsys):
+    for argv in (
+        ("oracle", "deficiency", "--k", "1"),
+        ("oracle", "factor", "--k", "1"),
+        ("verify", "lemma3.1", "--k", "1", "--m", "2"),
+    ):
+        code, env, err = run_cli(capsys, *argv, "--cap", "16", "Cl")
+        assert code == 1
+        assert env["status"] == "error"
+        assert "usage error" in err.err
 
 
 def test_batch_stdin(capsys, monkeypatch):
@@ -145,6 +158,27 @@ def test_spectrum_refuses_orders_above_the_cap(capsys):
     assert code == 1
     assert env["status"] == "error"
     assert "2048" in env["payload"]["error"]
+
+
+def test_extremal_refuses_orders_above_the_cap_before_building(capsys, monkeypatch):
+    # families ignore the parameters they do not take
+    code, env, _ = run_cli(capsys, "extremal", "--family", "petersen", "--n", "5000")
+    assert code == 0
+    assert env["payload"]["n"] == 10
+    # a parameter above the cap is refused before the graph is built, and a
+    # graph that turns out too large before its graph6 string is written
+    encoded = []
+    monkeypatch.setattr(cli, "to_graph6", lambda g: encoded.append(g.n) or "")
+    for argv, source in (
+        (("cycle", "--n", "8000"), "--n"),
+        (("cycle-union", "--lengths", "3000,4"), "--lengths"),
+        (("cocktail-party", "--n", "2048"), "eigenvalues"),
+    ):
+        code, env, _ = run_cli(capsys, "extremal", "--family", *argv)
+        assert code == 1
+        assert env["status"] == "error"
+        assert source in env["payload"]["error"] and "2048" in env["payload"]["error"]
+    assert encoded == []
 
 
 def test_empty_stdin_is_a_usage_error(capsys, monkeypatch):

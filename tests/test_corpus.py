@@ -17,6 +17,7 @@ from specfactor.corpus import (
     random_regular,
 )
 from specfactor.graph import join, complement
+from specfactor.graph6 import to_graph6
 from specfactor.spectral import eigenvalues
 from specfactor.constructions import empty_graph, matching
 
@@ -113,6 +114,18 @@ def test_random_regular_succeeds_at_degree_six_and_seven():
         for seed in range(10):
             g = random_regular(n, r, seed=seed)
             assert g.degrees() == (r,) * n and g.is_connected()
+
+
+def test_random_regular_dense_degrees_pair_the_complement():
+    # 2r >= n pairs the (n-1-r)-regular complement, which need not be connected
+    for n, r in ((40, 38), (60, 58), (40, 20), (200, 198)):
+        for seed in range(10):
+            g = random_regular(n, r, seed=seed)
+            assert g.degrees() == (r,) * n and g.is_connected()
+    assert random_regular(9, 8, seed=0) == complete_graph(9)
+    # the sparse path keeps its graphs seed for seed
+    assert to_graph6(random_regular(10, 3, seed=42)) == "IaWsPADCo"
+    assert to_graph6(random_regular(21, 10, seed=7)) == r"TQ\FGyacbZzei{x{AkgxFoSNMKla[x`tp~OH"
 
 
 def test_pair_degrees_gives_up_on_impossible_sequences():

@@ -30,10 +30,9 @@ from specfactor.factors import (
     k_factor,
 )
 from specfactor import factors
-from specfactor import oracle
 from specfactor.graph import Graph
 from specfactor.matching import matching_number
-from specfactor.oracle import brute_force_deficiency
+from specfactor.oracle import STPair, brute_force_deficiency, delta
 
 from conftest import random_graph, reference_f_factor
 
@@ -243,18 +242,10 @@ def test_critical_graphs_have_deficiency_one():
 
 
 def test_certificate_cross_check():
-    rep = k_factor(cycle(5), 1, want_certificate=True)
-    assert rep.deficiency == 1
-    assert rep.certificate is not None
-    rep2 = k_factor(complete_graph(4), 1, want_certificate=True)
-    assert rep2.exists and rep2.deficiency == 0
-
-
-def test_certificate_disagreement_raises(monkeypatch):
-    def off_by_one(g, k):
-        value, pair = brute_force_deficiency(g, k)
-        return value + 1, pair
-
-    monkeypatch.setattr(oracle, "brute_force_deficiency", off_by_one)
-    with pytest.raises(RuntimeError, match="certificate search disagrees"):
-        k_factor(cycle(5), 1, want_certificate=True)
+    # the Tutte pair witnessing a deficiency comes from the independent sweep
+    rep = k_factor(cycle(5), 1)
+    value, pair = brute_force_deficiency(cycle(5), 1)
+    assert rep.deficiency == value == 1
+    assert delta(cycle(5), 1, pair).delta == -1
+    rep2 = k_factor(complete_graph(4), 1)
+    assert rep2.exists and brute_force_deficiency(complete_graph(4), 1) == (0, STPair((), ()))

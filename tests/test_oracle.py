@@ -21,7 +21,6 @@ from specfactor.oracle import (
     brute_force_deficiency,
     brute_force_deficiency_multi,
     brute_force_has_k_factor,
-    count_k_odd_components,
     delta,
     optimal_pairs,
 )
@@ -44,7 +43,8 @@ def test_delta_empty_pair_counts_odd_components():
     g = disjoint_union(complete_graph(3), complete_graph(3))
     b = delta(g, 1, ((), ()))
     assert b.tau == 2 and b.delta == -2
-    assert count_k_odd_components(g, 1, ((), ())) == 2
+    # at k = 2 each triangle has even demand, so it is not odd
+    assert delta(g, 2, ((), ())).tau == 0
     # K5 at k = 2: single component, 2*5 even, so no odd component
     assert delta(complete_graph(5), 2, ((), ())).delta == 0
 
@@ -71,20 +71,19 @@ def test_deficiency_examples():
 
 
 def test_deficiency_cap():
-    g = empty_graph(15)
-    with pytest.raises(ValueError):
-        brute_force_deficiency(g, 1)
-    # explicit cap raises it
-    assert brute_force_deficiency(g, 1, cap=15)[0] == 15
+    # the sweep's one bound is the 16 vertices its uint16 pair tables cover
+    assert brute_force_deficiency(empty_graph(15), 1)[0] == 15
+    with pytest.raises(ValueError, match="n <= 16, got n = 17"):
+        brute_force_deficiency(empty_graph(17), 1)
 
 
 def test_cap_and_k_ceilings():
     g = cycle(5)
     for call in (brute_force_deficiency, optimal_pairs, brute_force_has_k_factor):
-        with pytest.raises(ValueError, match="at most 16"):
-            call(g, 1, cap=17)
-    with pytest.raises(ValueError, match="at most 16"):
-        brute_force_deficiency_multi(g, [1], cap=40)
+        with pytest.raises(ValueError, match="n <= 16"):
+            call(cycle(17), 1)
+    with pytest.raises(ValueError, match="n <= 16"):
+        brute_force_deficiency_multi(cycle(40), [1])
     with pytest.raises(ValueError, match="k must be at most"):
         brute_force_deficiency(g, oracle._MAX_K + 1)
     # the largest k still fits the sweep's int32 arithmetic: T = V wins

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import specfactor
@@ -56,3 +57,26 @@ def test_traced_names_are_bound():
         if not hasattr(ns, attr)
     ]
     assert missing == []
+
+
+def _imports(module: str) -> tuple[set[str], set[str]]:
+    """(package modules, outside top-level modules) that a module imports."""
+    tree = ast.parse((Path(specfactor.__file__).parent / f"{module}.py").read_text())
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["specfactor" if node.level else "", node.module]))
+            names += [f"{base}.{a.name}" for a in node.names] if base == "specfactor" else [base]
+    parts = [name.split(".") for name in names]
+    return {p[1] for p in parts if p[0] == "specfactor"}, {p[0] for p in parts if p[0] != "specfactor"}
+
+
+def test_oracle_and_engine_are_independent():
+    # the sweep checks the matching engine, so neither may lean on the other
+    package, outside = _imports("oracle")
+    assert package == {"graph"}
+    assert outside - sys.stdlib_module_names == {"numpy"}
+    for module in ("factors", "matching"):
+        assert "oracle" not in _imports(module)[0]

@@ -17,6 +17,7 @@ from specfactor.canon import canonical_key
 from specfactor.constructions import complete_graph, cycle, extremal_odd_m2, petersen
 from specfactor.corpus import enumerate_connected_regular
 from specfactor.graph import Graph, disjoint_union
+from specfactor import oracle
 from specfactor.oracle import STPair, brute_force_deficiency
 from specfactor.spectral import cubic_family, eigenvalues, largest_root
 from specfactor.theorems import (
@@ -205,19 +206,21 @@ def test_odd_r_campaign_domain():
         verify_thm_3_3(3, 2, 3, [])
 
 
-def _three_blob_vehicle() -> Graph:
-    # three K4s, each with one edge subdivided, their subdivision points
-    # wired to a single hub: cubic, 16 vertices, degree-one deficit 2
+# K4 with its edge 2-3 subdivided by vertex 4
+_K4_SUBDIVIDED = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4))
+
+
+def _three_blob_vehicle(blob=_K4_SUBDIVIDED) -> Graph:
+    # three copies of a blob whose last vertex alone has degree two, those
+    # vertices wired to a single hub: cubic, with the default blob 16
+    # vertices and degree-one deficit 2
+    size = max(max(e) for e in blob) + 1
+    hub = 3 * size
     edges = []
-    base = 0
-    hub = 15
-    for _ in range(3):
-        o = base
-        edges += [(o, o + 1), (o, o + 2), (o, o + 3), (o + 1, o + 2),
-                  (o + 1, o + 3), (o + 2, o + 4), (o + 3, o + 4)]
-        edges.append((o + 4, hub))
-        base += 5
-    return Graph(16, edges)
+    for o in range(0, hub, size):
+        edges += [(o + u, o + v) for u, v in blob]
+        edges.append((o + size - 1, hub))
+    return Graph(hub + 1, edges)
 
 
 def test_deficiency_decomposition_on_live_graph():
@@ -249,13 +252,27 @@ def test_deficiency_decomposition_even_k_on_same_vehicle():
 
 
 def test_deficiency_decomposition_needs_pair_above_sweep_cap():
-    # auto-search sweeps all disjoint pairs, which is capped; larger inputs
-    # must supply their own worst pair (the lone maximizer here is ({15}, {}))
+    # auto-search sweeps all disjoint pairs, which covers 16 vertices: it
+    # finds the lone maximizer ({15}, {}) here
     g = _three_blob_vehicle()
-    with pytest.raises(ValueError):
-        check_lemma_3_1(g, 1, 2)
-    res = check_lemma_3_1(g, 1, 2, st=((15,), ()))
-    assert res.st == STPair((15,), ())
+    res = check_lemma_3_1(g, 1, 2)
+    assert res.st == STPair((15,), ()) and res.satisfied
+    # prisms with one edge subdivided as blobs: cubic on 22 vertices, so
+    # the caller must supply the worst pair
+    big = _three_blob_vehicle(((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5),
+                               (0, 3), (1, 4), (2, 6), (5, 6)))
+    assert big.n == 22 and big.is_regular() and big.degree(0) == 3
+    with pytest.raises(ValueError, match="16"):
+        check_lemma_3_1(big, 1, 2)
+    res = check_lemma_3_1(big, 1, 2, st=((21,), ()))
+    assert res.st == STPair((21,), ()) and res.deficiency == 2 and res.satisfied
+
+
+def test_lemma_sweep_disagreement_raises(monkeypatch):
+    # the engine finds deficiency 2; a sweep one off must not go unnoticed
+    monkeypatch.setattr(oracle, "optimal_pairs", lambda g, k: (3, [STPair((15,), ())]))
+    with pytest.raises(RuntimeError, match="sweep and factor-engine deficiencies disagree"):
+        check_lemma_3_1(_three_blob_vehicle(), 1, 2)
 
 
 def test_deficiency_decomposition_validates_given_pair():
@@ -309,11 +326,9 @@ def test_root_ordering_report():
 
 def test_profile_deficiency_matches_oracle_on_vehicle():
     g = _three_blob_vehicle()
-    # too large for the sweep oracle at default cap, so check the k = 1
-    # deficit through the matching engine instead
     from specfactor.factors import deficiency
 
-    assert deficiency(g, 1) == 2
+    assert deficiency(g, 1) == brute_force_deficiency(g, 1)[0] == 2
     small = complete_graph(5)
     got, _ = brute_force_deficiency(small, 1)
     assert got == 1
