@@ -37,7 +37,6 @@ from .matching import matching_number, max_matching
 from .factors import (
     FactorReport,
     deficiency,
-    gadget_reduce,
     has_f_factor,
     is_k_critical,
     k_factor,
@@ -93,7 +92,6 @@ __all__ = [
     "eigenvalues",
     "enumerate_connected_graphs",
     "enumerate_connected_regular",
-    "gadget_reduce",
     "has_f_factor",
     "induced_subgraph",
     "is_equitable",

@@ -28,14 +28,17 @@ from .graph6 import Graph6Error, parse_graph6, to_graph6
 
 
 class UsageError(Exception):
-    pass
+    def __init__(self, message: str, command: str | None = None):
+        super().__init__(message)
+        self.command = command
 
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad usage; route through the envelope
-    # machinery (exit 1) instead
+    # machinery (exit 1) instead, naming the subcommand from the prog of the
+    # subparser that failed ("specfactor oracle deficiency")
     def error(self, message: str):
-        raise UsageError(message)
+        raise UsageError(message, self.prog.partition(" ")[2] or None)
 
 
 def _sanitize(obj):
@@ -362,13 +365,16 @@ def main(argv: list[str] | None = None) -> int:
     command = "?"
     human = "--human" in argv
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
         human = args.human
         command = args.command
         if getattr(args, "sub", None):
             command = f"{args.command} {args.sub}"
+        if extra:
+            raise UsageError(f"unrecognized arguments: {' '.join(extra)}")
         payload, status = _HANDLERS[args.command](args)
     except UsageError as exc:
+        command = exc.command or command
         print(f"usage error: {exc}", file=sys.stderr)
         _emit(command, "error", {"error": str(exc)}, human)
         return 1

@@ -14,7 +14,7 @@ from .graph import Graph, complement, disjoint_union, join
 def complete_graph(n: int) -> Graph:
     if n < 0:
         raise ValueError("n must be non-negative")
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return complement(Graph(n))
 
 
 def empty_graph(n: int) -> Graph:

@@ -104,6 +104,4 @@ def max_matching(g: Graph) -> list[tuple[int, int]]:
 
 
 def matching_number(g: Graph) -> int:
-    adj = [list(g.neighbors(v)) for v in range(g.n)]
-    match = _max_matching_adj(g.n, adj)
-    return sum(1 for v in range(g.n) if match[v] != -1) // 2
+    return len(max_matching(g))

@@ -250,9 +250,7 @@ def brute_force_deficiency(g: Graph, k: int) -> tuple[int, STPair]:
     The first maximizer in sweep order is returned, so a graph with a
     k-factor always reports (0, (empty, empty)).
     """
-    _check(g, [k])
-    best, arg, _ = _sweep(g, [k])
-    return best[k], _pair(*arg[k])
+    return brute_force_deficiency_multi(g, [k])[k]
 
 
 def brute_force_deficiency_multi(g: Graph, ks: Sequence[int]) -> dict[int, tuple[int, STPair]]:

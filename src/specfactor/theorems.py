@@ -20,7 +20,6 @@ from .constructions import (
     extremal_even,
     extremal_odd_m1,
     extremal_odd_m2,
-    extremal_odd_m2_parts,
     extremal_odd_m3,
 )
 from .corpus import random_class_member
@@ -175,7 +174,15 @@ def verify_thm_2_2(r: int, m: int, samples: int, seed: int = 0) -> CampaignRepor
     return _minimality_campaign(threshold, g, "odd", r, m, samples, seed)
 
 
-def _corpus_list(corpus, r: int) -> list[Graph]:
+def _regular_campaign(r: int, k: int, threshold: float, corpus):
+    """Shared loop of theorems 3.2 and 3.3 over connected r-regular graphs.
+
+    The hypothesis is lambda < threshold, with lambda = lambda2 on odd
+    orders and lambda3 on even ones; the conclusion is k-criticality on odd
+    orders and a k-factor on even ones.  Odd r admits only even orders.
+    Returns the report and (lambda, graph) for every graph outside the
+    hypothesis.
+    """
     graphs = list(corpus)
     if not graphs:
         raise ValueError("corpus must contain at least one graph")
@@ -184,7 +191,28 @@ def _corpus_list(corpus, r: int) -> list[Graph]:
             raise ValueError("corpus graphs must be connected and non-empty")
         if not (g.is_regular() and g.degree(0) == r):
             raise ValueError(f"corpus graphs must be {r}-regular")
-    return graphs
+    report = CampaignReport(
+        corpus=f"supplied corpus of {len(graphs)} connected {r}-regular graphs"
+    )
+    margins = []
+    outside = []
+    for g in graphs:
+        spec = eigenvalues(g)
+        report.tested += 1
+        odd = g.n % 2 == 1
+        lam = spec[1] if odd else spec[2]
+        margins.append(lam - threshold)
+        if lam < threshold - _TOL:
+            report.hypothesis_count += 1
+            ok = is_k_critical(g, k) if odd else k_factor(g, k).exists
+            if ok:
+                report.conclusion_count += 1
+            else:
+                report.counterexamples.append(to_graph6(g))
+        else:
+            outside.append((lam, g))
+    report.margins = _margin_stats(margins)
+    return report, outside
 
 
 def verify_thm_3_2(r: int, k: int, m: int, corpus) -> CampaignReport:
@@ -199,25 +227,7 @@ def verify_thm_3_2(r: int, k: int, m: int, corpus) -> CampaignReport:
         raise ValueError("need r <= k*m <= r*(m-1)")
     m0 = profile.m0
     threshold = rho1(r, m0 - 1)
-    graphs = _corpus_list(corpus, r)
-    report = CampaignReport(
-        corpus=f"supplied corpus of {len(graphs)} connected {r}-regular graphs"
-    )
-    margins = []
-    for g in graphs:
-        spec = eigenvalues(g)
-        report.tested += 1
-        odd = g.n % 2 == 1
-        lam = spec[1] if odd else spec[2]
-        margins.append(lam - threshold.value)
-        if lam < threshold.value - _TOL:
-            report.hypothesis_count += 1
-            ok = is_k_critical(g, k) if odd else k_factor(g, k).exists
-            if ok:
-                report.conclusion_count += 1
-            else:
-                report.counterexamples.append(to_graph6(g))
-    report.margins = _margin_stats(margins)
+    report, _ = _regular_campaign(r, k, threshold.value, corpus)
     # r even and m0 odd, so rho2(r, m0 - 1) is always defined
     rho2_same = rho2(r, m0 - 1).value
     report.details = {
@@ -243,26 +253,8 @@ def verify_thm_3_3(r: int, k: int, m: int, corpus) -> CampaignReport:
     else:
         t = rho2(r, m - 1)
         stated, stated_kind = t.value, t.kind
-    graphs = _corpus_list(corpus, r)
-    report = CampaignReport(
-        corpus=f"supplied corpus of {len(graphs)} connected {r}-regular graphs"
-    )
-    margins = []
-    no_factor_lam3 = []
-    for g in graphs:
-        spec = eigenvalues(g)
-        lam3 = spec[2]
-        margins.append(lam3 - stated)
-        report.tested += 1
-        if lam3 < stated - _TOL:
-            report.hypothesis_count += 1
-            if k_factor(g, k).exists:
-                report.conclusion_count += 1
-            else:
-                report.counterexamples.append(to_graph6(g))
-        elif not k_factor(g, k).exists:
-            no_factor_lam3.append(lam3)
-    report.margins = _margin_stats(margins)
+    report, outside = _regular_campaign(r, k, stated, corpus)
+    no_factor_lam3 = [lam for lam, g in outside if not k_factor(g, k).exists]
     variants = {f"{'rho1' if m % 2 == 1 else 'rho2'}(r,m-1)": stated}
     if m % 2 == 1:  # m = 1 meets neither condition (ii) nor (iii)
         variants["rho2(r,m-2)"] = rho2(r, m - 2).value

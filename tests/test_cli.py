@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -221,6 +223,24 @@ def test_tolerance_flag_is_gone(capsys):
     assert "usage error" in err.err
 
 
+def test_usage_errors_name_the_parsed_command(capsys):
+    # leftover arguments once the command parsed
+    code, env, err = run_cli(capsys, "oracle", "deficiency", "--k", "1", "--cap", "16", "Cl")
+    assert code == 1 and "usage error" in err.err
+    assert env["command"] == "oracle deficiency"
+    assert env["payload"]["error"] == "unrecognized arguments: --cap Cl"
+    # an error raised inside a subparser
+    code, env, err = run_cli(capsys, "verify", "thm3.3", "--r", "3", "--k", "x", "--m", "2")
+    assert code == 1 and "usage error" in err.err
+    assert env["command"] == "verify thm3.3"
+    code, env, _ = run_cli(capsys, "verify")
+    assert env["command"] == "verify"
+    # no command parsed
+    code, env, err = run_cli(capsys, "bogus")
+    assert code == 1 and "usage error" in err.err
+    assert env["command"] == "?"
+
+
 def test_bad_flags_exit_one(capsys):
     code = main(["threshold", "--family", "rho9", "--r", "4", "--m", "2"])
     out = capsys.readouterr()
@@ -296,3 +316,21 @@ def test_console_script_installed():
     assert proc.returncode == 0
     env = json.loads(proc.stdout)
     assert env["payload"]["kind"] == "cubic-m1"
+
+
+def _golden_cases():
+    lines = Path(__file__).with_name("cli_golden.txt").read_text().splitlines()
+    lines = [ln for ln in lines if not ln.startswith("#")]
+    for i in range(0, len(lines), 3):
+        argv, code, out = lines[i : i + 3]
+        yield shlex.split(argv.removeprefix("$ ")), int(code.removeprefix("exit ")), out + "\n"
+
+
+def test_stdout_bytes_unchanged(capsys):
+    """Default JSON stdout is byte-deterministic: every invocation in
+    cli_golden.txt prints the recorded bytes and exits with the recorded
+    code.  Factor edges are left out, since any f-factor may be returned."""
+    cases = list(_golden_cases())
+    assert len(cases) >= 25
+    for argv, code, out in cases:
+        assert (main(argv), capsys.readouterr().out) == (code, out), argv

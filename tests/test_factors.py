@@ -2,9 +2,8 @@
 
 The solver sends each graph edge to a two-node widget and each vertex v to
 f(v) slot nodes, so a maximum matching gives a maximum subgraph with
-bounded degrees; `gadget_reduce` is the perfect-matching form of the same
-reduction.  These tests check the bookkeeping and the agreement with the
-subset sweep and edge-subset references.
+bounded degrees.  These tests check the bookkeeping and the agreement
+with the subset sweep and edge-subset references.
 """
 
 from __future__ import annotations
@@ -24,14 +23,12 @@ from specfactor.constructions import (
 )
 from specfactor.factors import (
     deficiency,
-    gadget_reduce,
     has_f_factor,
     is_k_critical,
     k_factor,
 )
 from specfactor import factors
 from specfactor.graph import Graph
-from specfactor.matching import matching_number
 from specfactor.oracle import STPair, brute_force_deficiency, delta
 
 from conftest import random_graph, reference_f_factor
@@ -179,34 +176,6 @@ def test_f_factor_agrees_with_edge_subset_reference(connected_by_n):
                         assert rep.edges is None
                     checked += 1
     assert checked > 5000
-
-
-def test_gadget_reduce_shapes():
-    # K2 demanding degree 1 everywhere leaves no slack: just the edge pair
-    assert gadget_reduce(complete_graph(2), [1, 1]) == Graph(2, [(0, 1)])
-    # C4 at k=1: 8 edge nodes + 4 slack nodes, matchable exactly when a
-    # perfect matching of C4 exists
-    gg = gadget_reduce(cycle(4), [1, 1, 1, 1])
-    assert gg.n == 2 * 4 + 4
-    assert gg.edge_count == 4 + sum(2 * 1 for _ in range(4))
-    assert 2 * matching_number(gg) == gg.n
-
-
-def test_gadget_matchability_tracks_factor_existence():
-    rng = random.Random(19)
-    for _ in range(100):
-        g = random_graph(rng.randrange(1, 8), 0.5, rng)
-        k = rng.randrange(1, 3)
-        if any(g.degree(v) < k for v in range(g.n)):
-            continue
-        gg = gadget_reduce(g, [k] * g.n)
-        perfect = gg.n == 0 or 2 * matching_number(gg) == gg.n
-        assert perfect == k_factor(g, k).exists
-
-
-def test_gadget_reduce_rejects_demand_above_degree():
-    with pytest.raises(ValueError):
-        gadget_reduce(path(3), [2, 2, 2])
 
 
 def test_criticality_examples():

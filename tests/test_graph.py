@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -76,6 +77,9 @@ def test_equality_and_hash_are_label_sensitive():
 def test_complement_examples():
     assert complement(complete_graph(4)) == empty_graph(4)
     assert complement(empty_graph(3)) == complete_graph(3)
+    # complete_graph is built as a complement, so check it against its edges
+    for n in range(9):
+        assert complete_graph(n) == Graph(n, combinations(range(n), 2))
     c5 = cycle(5)
     cc = complement(c5)
     assert cc.degrees() == (2, 2, 2, 2, 2)
