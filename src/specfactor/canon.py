@@ -1,10 +1,11 @@
 """Canonical labeling of small colored graphs by individualization-refinement.
 
-Colors partition the vertices (for plain graphs everything starts in one
-class); iterative refinement splits classes by neighbor counts, then the
-search individualizes one vertex of the first non-singleton class at a time,
-keeping the lexicographically greatest relabeled adjacency rows.  Meant for
-n up to ~16, where a node budget guards against pathological inputs.
+A partition is an ordered list of cell bitmasks, first the color classes by
+color value.  Refinement splits cells by neighbour counts into splitter cells,
+the next splitters being the new fragments but the last of each (McKay and
+Piperno, 2014).  The search individualizes each vertex of the first
+non-singleton cell as the sole splitter, keeping the lexicographically greatest
+relabeled adjacency rows.  Meant for n up to ~16, under a node budget.
 """
 
 from __future__ import annotations
@@ -16,31 +17,28 @@ from .graph import Graph, bits
 _NODE_BUDGET = 500_000
 
 
-def _refine(n: int, rows: Sequence[int], colors: list[int]) -> list[int]:
-    while True:
-        classes: dict[int, int] = {}
-        for v in range(n):
-            classes[colors[v]] = classes.get(colors[v], 0) | (1 << v)
-        masks = [classes[c] for c in sorted(classes)]
-        sigs = [
-            (colors[v], tuple((rows[v] & m).bit_count() for m in masks))
-            for v in range(n)
-        ]
-        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [rank[s] for s in sigs]
-        if new == colors:
-            return colors
-        colors = new
-
-
-def _first_cell(n: int, colors: list[int]) -> list[int]:
-    counts: dict[int, int] = {}
-    for c in colors:
-        counts[c] = counts.get(c, 0) + 1
-    for c in sorted(counts):
-        if counts[c] > 1:
-            return [v for v in range(n) if colors[v] == c]
-    return []
+def _refine(rows: Sequence[int], cells: list[int], splitters: list[int]) -> list[int]:
+    while splitters:
+        out: list[int] = []
+        nxt: list[int] = []
+        for cell in cells:
+            if cell & (cell - 1) == 0:
+                out.append(cell)
+                continue
+            groups: dict[tuple[int, ...], int] = {}
+            for v in bits(cell):
+                r = rows[v]
+                sig = tuple([(r & s).bit_count() for s in splitters])
+                groups[sig] = groups.get(sig, 0) | 1 << v
+            if len(groups) == 1:
+                out.append(cell)
+                continue
+            frags = [groups[s] for s in sorted(groups)]
+            out += frags
+            nxt += frags[:-1]
+        cells = out
+        splitters = nxt
+    return cells
 
 
 def canonical_labeling(
@@ -60,13 +58,16 @@ def canonical_labeling(
     if n == 0:
         return ((), ()), ()
 
-    base = _refine(n, rows, list(init))
+    classes: dict[int, int] = {}
+    for v, c in enumerate(init):
+        classes[c] = classes.get(c, 0) | (1 << v)
+    root = [classes[c] for c in sorted(classes)]
     nbrs = [list(bits(r)) for r in rows]
     best: list = [None, None]  # key, perm
     budget = [_NODE_BUDGET]
 
-    def leaf(cols: list[int]) -> None:
-        perm = sorted(range(n), key=lambda v: cols[v])
+    def leaf(cells: list[int]) -> None:
+        perm = [c.bit_length() - 1 for c in cells]
         pos = [0] * n
         for i, v in enumerate(perm):
             pos[v] = i
@@ -76,39 +77,33 @@ def canonical_labeling(
             for u in nbrs[v]:
                 nr |= 1 << pos[u]
             newrows[pos[v]] = nr
-        key = (tuple(newrows), tuple(init[v] for v in perm))
+        key = (tuple(newrows), tuple([init[v] for v in perm]))
         if best[0] is None or key > best[0]:
             best[0] = key
             best[1] = tuple(perm)
 
-    def search(cols: list[int]) -> None:
+    def search(cells: list[int]) -> None:
         budget[0] -= 1
         if budget[0] < 0:
             raise RuntimeError("canonical labeling node budget exceeded")
-        cell = _first_cell(n, cols)
-        if not cell:
-            leaf(cols)
+        at = next((i for i, c in enumerate(cells) if c & (c - 1)), None)
+        if at is None:
+            leaf(cells)
             return
         tried: list[int] = []
-        for v in cell:
+        for v in bits(cells[at]):
             # skip v when transposing it with an already-tried cell mate is
             # an automorphism (identical rows outside the mutual bits)
             vb = 1 << v
-            skip = False
-            for u in tried:
-                ub = 1 << u
-                outside = ~(ub | vb)
-                if rows[u] & outside == rows[v] & outside:
-                    skip = True
-                    break
+            skip = any(rows[u] & ~(vb | 1 << u) == rows[v] & ~(vb | 1 << u) for u in tried)
             tried.append(v)
             if skip:
                 continue
-            child = list(cols)
-            child[v] = -1
-            search(_refine(n, rows, child))
+            child = [vb] + cells
+            child[at + 1] ^= vb
+            search(_refine(rows, child, [vb]))
 
-    search(base)
+    search(_refine(rows, root, root))
     return best[0], best[1]
 
 

@@ -15,7 +15,7 @@ from itertools import combinations
 from math import comb
 
 from .graph import Graph, bits, complement, component_masks
-from .canon import canonical_key, canonical_labeling
+from .canon import canonical_key, canonical_labeling  # noqa: F401 (traced by perfbench)
 
 _MAX_CONNECTED_N = 8
 _MAX_REGULAR_N = 10
@@ -39,10 +39,9 @@ def enumerate_connected_graphs(n: int) -> list[Graph]:
         seen = set()
         new = n - 1
         for parent in enumerate_connected_graphs(n - 1):
-            base_edges = parent.edges()
             for sub in range(1, 1 << new):
-                edges = base_edges + [(u, new) for u in bits(sub)]
-                child = Graph(n, edges)
+                rows = [r | (sub >> u & 1) << new for u, r in enumerate(parent.rows)]
+                child = Graph._trusted(rows + [sub])
                 key = canonical_key(child)
                 if key not in seen:
                     seen.add(key)
@@ -52,8 +51,8 @@ def enumerate_connected_graphs(n: int) -> list[Graph]:
 
 
 def _relabeled_state(g: Graph, deficits: list[int]) -> tuple[tuple, Graph, tuple[int, ...]]:
-    key, perm = canonical_labeling(g, deficits)
-    return key, Graph.from_rows(key[0]), key[1]
+    key = canonical_key(g, deficits)
+    return key, Graph._trusted(key[0]), key[1]
 
 
 def _completion_vertex(n: int, g: Graph, deficits) -> tuple[int, list[int]] | None:
@@ -126,9 +125,11 @@ def enumerate_connected_regular(n: int, r: int) -> list[Graph]:
                 v, cands = picked
                 need = defs[v]
                 for combo in combinations(cands, need):
-                    edges = g.edges()
-                    edges.extend((min(v, w), max(v, w)) for w in combo)
-                    child = Graph(n, edges)
+                    rows = list(g.rows)
+                    for w in combo:
+                        rows[v] |= 1 << w
+                        rows[w] |= 1 << v
+                    child = Graph._trusted(rows)
                     cdefs = list(defs)
                     cdefs[v] = 0
                     for w in combo:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 
 def bits(mask: int) -> Iterator[int]:
     """Indices of the set bits of a non-negative mask, ascending."""
@@ -122,6 +124,14 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count})"
+
+
+def adjacency_bits(g: Graph) -> np.ndarray:
+    """Adjacency matrix as an n x n uint8 array, unpacked from the row bitmasks."""
+    n = g.n
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join([r.to_bytes(width, "little") for r in g.rows]), np.uint8)
+    return np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little")
 
 
 def complement(g: Graph) -> Graph:

@@ -8,7 +8,9 @@ character so malformed corpus lines are easy to locate.
 
 from __future__ import annotations
 
-from .graph import Graph
+import numpy as np
+
+from .graph import Graph, adjacency_bits
 
 _HEADER = ">>graph6<<"
 
@@ -94,15 +96,9 @@ def to_graph6(g: Graph) -> str:
     else:
         raise ValueError("graphs beyond 258047 vertices unsupported")
 
-    bits = []
-    for j in range(1, n):
-        col = g.row(j)
-        for i in range(j):
-            bits.append((col >> i) & 1)
-    chars = []
-    for b in range(0, len(bits), 6):
-        chunk = 0
-        for shift, bit in enumerate(bits[b : b + 6]):
-            chunk |= bit << (5 - shift)
-        chars.append(chr(chunk + 63))
-    return head + "".join(chars)
+    # x(i, j) for i < j, column by column, is the lower triangle row by row
+    tri = adjacency_bits(g)[np.tri(n, k=-1, dtype=bool)]
+    six = np.zeros(-(-tri.size // 6) * 6, np.uint8)
+    six[: tri.size] = tri
+    chunks = six.reshape(-1, 6) @ np.array([32, 16, 8, 4, 2, 1], np.uint8) + 63
+    return head + chunks.tobytes().decode("ascii")

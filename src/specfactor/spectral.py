@@ -14,18 +14,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Graph, bits
+from .graph import Graph, adjacency_bits, bits
 
 # a dense n x n float64 matrix takes 8n^2 bytes: 32 MiB at the cap
 MAX_ORDER = 2048
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
-    a = np.zeros((g.n, g.n))
-    for v in range(g.n):
-        for u in bits(g.row(v)):
-            a[v, u] = 1.0
-    return a
+    return adjacency_bits(g).astype(float)
 
 
 def _descending(sym: np.ndarray) -> list[float]:

@@ -4,7 +4,8 @@ The naive deficiency reference here recomputes the Tutte functional from
 its definition with a base-3 assignment counter and a union-find rebuilt
 per pair, so the optimized sweep in the package is checked against an
 implementation that shares no code with it.  The cyclic Jacobi solver here
-is the reference for the package's eigvalsh spectra.
+is the reference for the package's eigvalsh spectra, and the full-signature
+canonical labeling is the reference for the package's splitter refinement.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from specfactor.corpus import enumerate_connected_graphs, enumerate_connected_regular
-from specfactor.graph import Graph, component_masks
+from specfactor.graph import Graph, bits, component_masks
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:
@@ -229,3 +230,75 @@ def jacobi_eigenvalues(a: np.ndarray, off_tol: float = 1e-12) -> np.ndarray:
     else:
         raise RuntimeError("Jacobi iteration failed to converge")
     return np.sort(np.diag(a))[::-1].copy()
+
+
+def _reference_refine(n: int, rows, colors: list[int]) -> list[int]:
+    """Rank every vertex by (color, counts into every color class) until stable."""
+    while True:
+        classes: dict[int, int] = {}
+        for v in range(n):
+            classes[colors[v]] = classes.get(colors[v], 0) | (1 << v)
+        masks = [classes[c] for c in sorted(classes)]
+        sigs = [
+            (colors[v], tuple((rows[v] & m).bit_count() for m in masks))
+            for v in range(n)
+        ]
+        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [rank[s] for s in sigs]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def reference_canonical_labeling(g: Graph, colors=None):
+    """(key, perm, search nodes) by full-signature refinement and the same search.
+
+    Every round recomputes each vertex's counts into every class, and a
+    search child marks its individualized vertex with color -1; the package
+    must return the same (key, perm) and visit the same number of nodes.
+    """
+    n = g.n
+    rows = g.rows
+    init = tuple(colors) if colors is not None else (0,) * n
+    if n == 0:
+        return ((), ()), (), 0
+    nbrs = [list(bits(r)) for r in rows]
+    best: list = [None, None]
+    nodes = [0]
+
+    def leaf(cols: list[int]) -> None:
+        perm = sorted(range(n), key=lambda v: cols[v])
+        pos = [0] * n
+        for i, v in enumerate(perm):
+            pos[v] = i
+        newrows = [0] * n
+        for v in range(n):
+            for u in nbrs[v]:
+                newrows[pos[v]] |= 1 << pos[u]
+        key = (tuple(newrows), tuple(init[v] for v in perm))
+        if best[0] is None or key > best[0]:
+            best[0], best[1] = key, tuple(perm)
+
+    def search(cols: list[int]) -> None:
+        nodes[0] += 1
+        counts: dict[int, int] = {}
+        for c in cols:
+            counts[c] = counts.get(c, 0) + 1
+        big = [c for c in sorted(counts) if counts[c] > 1]
+        if not big:
+            leaf(cols)
+            return
+        tried: list[int] = []
+        for v in [v for v in range(n) if cols[v] == big[0]]:
+            vb = 1 << v
+            skip = any(
+                rows[u] & ~(vb | 1 << u) == rows[v] & ~(vb | 1 << u) for u in tried
+            )
+            tried.append(v)
+            if not skip:
+                child = list(cols)
+                child[v] = -1
+                search(_reference_refine(n, rows, child))
+
+    search(_reference_refine(n, rows, list(init)))
+    return best[0], best[1], nodes[0]

@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specfactor import canon, corpus
 from specfactor.canon import canonical_key, canonical_labeling
 from specfactor.constructions import cycle, petersen
 from specfactor.graph import Graph
 
-from conftest import random_graph
+from conftest import random_graph, reference_canonical_labeling
 
 
 def permuted(g: Graph, perm: list[int]) -> Graph:
@@ -76,3 +78,44 @@ def test_canonical_graph_is_reproducible():
     cg = Graph.from_rows(canonical_key(g)[0])
     assert Graph.from_rows(canonical_key(cg)[0]) == cg
     assert canonical_key(cg) == canonical_key(g)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_labeling_matches_full_signature_reference(data):
+    n = data.draw(st.integers(min_value=0, max_value=11))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph(n, [e for e, k in zip(pairs, keep) if k])
+    color = st.integers(min_value=-2, max_value=2) | st.integers()
+    colors = data.draw(st.none() | st.lists(color, min_size=n, max_size=n))
+    assert canonical_labeling(g, colors) == reference_canonical_labeling(g, colors)[:2]
+
+
+def test_enumerator_labelings_match_reference(monkeypatch):
+    made = []
+
+    def recording_key(g, colors=None):
+        made.append((g, None if colors is None else tuple(colors)))
+        return canonical_key(g, colors)
+
+    monkeypatch.setattr(corpus, "canonical_key", recording_key)
+    monkeypatch.setattr(corpus, "_connected_cache", {})
+    monkeypatch.setattr(corpus, "_regular_cache", {})
+    for n in range(1, 7):
+        corpus.enumerate_connected_graphs(n)
+    corpus.enumerate_connected_regular(8, 3)
+    corpus.enumerate_connected_regular(9, 4)
+    assert len(made) > 1000
+    for g, colors in made:
+        assert canonical_labeling(g, colors) == reference_canonical_labeling(g, colors)[:2]
+
+
+@pytest.mark.parametrize("g", [petersen(), cycle(8)], ids=["petersen", "cycle8"])
+def test_node_budget_admits_exactly_the_reference_search(g, monkeypatch):
+    key, perm, nodes = reference_canonical_labeling(g)
+    monkeypatch.setattr(canon, "_NODE_BUDGET", nodes)
+    assert canonical_labeling(g) == (key, perm)
+    monkeypatch.setattr(canon, "_NODE_BUDGET", nodes - 1)
+    with pytest.raises(RuntimeError, match="node budget exceeded"):
+        canonical_labeling(g)

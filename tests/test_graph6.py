@@ -98,3 +98,23 @@ def test_round_trip_corpus():
         n = rng.randrange(0, 13)
         g = random_graph(n, rng.random(), rng)
         assert parse_graph6(to_graph6(g)) == g
+
+
+def per_edge_graph6(g: Graph) -> str:
+    """graph6 body one bit at a time: x(i, j) for i < j, column by column."""
+    flat = [(g.row(j) >> i) & 1 for j in range(1, g.n) for i in range(j)]
+    flat += [0] * (-len(flat) % 6)
+    return "".join(
+        chr(sum(bit << (5 - s) for s, bit in enumerate(flat[b : b + 6])) + 63)
+        for b in range(0, len(flat), 6)
+    )
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 300])
+def test_encoding_matches_per_edge_reference(n):
+    rng = random.Random(n)
+    for g in (random_graph(n, rng.random(), rng), complete_graph(n)):
+        line = to_graph6(g)
+        head = 1 if n <= 62 else 4
+        assert line[head:] == per_edge_graph6(g)
+        assert parse_graph6(line) == g

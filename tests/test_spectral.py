@@ -100,6 +100,18 @@ def test_jacobi_matches_numpy_on_graphs(connected_by_n):
         assert got == pytest.approx(list(want), abs=1e-9)
 
 
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 300])
+def test_adjacency_matrix_matches_per_edge_reference(n):
+    rng = random.Random(n)
+    g = random_graph(n, rng.random(), rng)
+    want = np.zeros((n, n))
+    for u, v in g.edges():
+        want[u, v] = want[v, u] = 1.0
+    got = adjacency_matrix(g)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
 def test_eigenvalues_refuse_orders_above_the_cap():
     with pytest.raises(ValueError, match="2048"):
         eigenvalues(Graph(2049, []))
