@@ -3,9 +3,14 @@
 Connected graphs are enumerated by vertex extension (every connected graph
 has a non-cut vertex, so each one on n vertices arises from a connected
 graph on n-1 by attaching a new vertex to a non-empty subset).  Connected
-regular graphs are built by repeatedly saturating one chosen vertex, with
-states deduplicated up to degree-respecting isomorphism after every step;
-both enumerations dedupe through canonical labelings.
+regular graphs grow by one saturation step per round: each state, a graph
+with a deficit (r minus degree) per vertex, joins the open vertex with the
+fewest ways to saturate it to each set of deficit-many open non-neighbours.  A
+child is kept when it is complete and connected; an incomplete child goes
+on when each component has an open vertex and each open vertex has at least
+its deficit in open non-neighbours.  The next round holds the canonical
+(rows, deficits) keys of those children.  Both enumerations keep the first
+graph found per canonical key.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 from math import comb
+from typing import Sequence
 
 from .graph import Graph, bits, complement, component_masks
 from .canon import canonical_key, canonical_labeling  # noqa: F401 (traced by perfbench)
@@ -35,65 +41,32 @@ def enumerate_connected_graphs(n: int) -> list[Graph]:
     if n == 1:
         out = [Graph(1)]
     else:
-        out = []
-        seen = set()
+        found: dict[tuple, Graph] = {}
         new = n - 1
         for parent in enumerate_connected_graphs(n - 1):
             for sub in range(1, 1 << new):
                 rows = [r | (sub >> u & 1) << new for u, r in enumerate(parent.rows)]
                 child = Graph._trusted(rows + [sub])
-                key = canonical_key(child)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(child)
+                found.setdefault(canonical_key(child), child)
+        out = list(found.values())
     _connected_cache[n] = out
     return out
 
 
-def _relabeled_state(g: Graph, deficits: list[int]) -> tuple[tuple, Graph, tuple[int, ...]]:
-    key = canonical_key(g, deficits)
-    return key, Graph._trusted(key[0]), key[1]
-
-
-def _completion_vertex(n: int, g: Graph, deficits) -> tuple[int, list[int]] | None:
-    """Deficient vertex with the fewest saturating choices, with candidates."""
+def _open_vertex(
+    rows: Sequence[int], deficits: Sequence[int]
+) -> tuple[int, int, list[int]] | None:
+    """(width, v, candidates) for the first open vertex v with the fewest ways
+    to saturate it: candidates are the other open vertices not adjacent to v,
+    and width = C(len(candidates), deficits[v]).  None when no vertex is open."""
+    opened = sum(1 << v for v, d in enumerate(deficits) if d)
     best = None
-    for v in range(n):
-        if deficits[v] == 0:
-            continue
-        cands = [
-            w
-            for w in range(n)
-            if w != v and deficits[w] > 0 and not g.has_edge(v, w)
-        ]
+    for v in bits(opened):
+        cands = list(bits(opened & ~rows[v] & ~(1 << v)))
         width = comb(len(cands), deficits[v])
         if best is None or width < best[0]:
             best = (width, v, cands)
-    if best is None:
-        return None
-    return best[1], best[2]
-
-
-def _viable(n: int, g: Graph, deficits: list[int]) -> bool:
-    open_count = sum(1 for d in deficits if d > 0)
-    for v in range(n):
-        if deficits[v] == 0:
-            continue
-        free = open_count - 1 - sum(
-            1 for w in g.neighbors(v) if deficits[w] > 0
-        )
-        if deficits[v] > free:
-            return False
-    # a saturated component that is not the whole graph can never reconnect
-    full = (1 << n) - 1
-    open_mask = 0
-    for v in range(n):
-        if deficits[v] > 0:
-            open_mask |= 1 << v
-    for comp in component_masks(g, full):
-        if comp != full and comp & open_mask == 0:
-            return False
-    return True
+    return best
 
 
 def enumerate_connected_regular(n: int, r: int) -> list[Graph]:
@@ -111,42 +84,34 @@ def enumerate_connected_regular(n: int, r: int) -> list[Graph]:
     if r == 0:
         out = [Graph(1)] if n == 1 else []
     else:
-        start = Graph(n)
-        frontier: dict[tuple, tuple[Graph, tuple[int, ...]]] = {}
-        key, cg, cdefs = _relabeled_state(start, [r] * n)
-        frontier[key] = (cg, cdefs)
-        done: dict[tuple, Graph] = {}
+        found: dict[tuple, Graph] = {}
+        # canonical (rows, deficits) keys, in first-found order
+        frontier = {canonical_key(Graph(n), [r] * n): None}
         while frontier:
-            nxt: dict[tuple, tuple[Graph, tuple[int, ...]]] = {}
-            for g, defs in frontier.values():
-                picked = _completion_vertex(n, g, defs)
-                if picked is None:
-                    raise RuntimeError("regular completion found no vertex to extend")
-                v, cands = picked
-                need = defs[v]
-                for combo in combinations(cands, need):
-                    rows = list(g.rows)
-                    for w in combo:
-                        rows[v] |= 1 << w
-                        rows[w] |= 1 << v
-                    child = Graph._trusted(rows)
+            nxt: dict[tuple, None] = {}
+            for rows, defs in frontier:
+                _, v, cands = _open_vertex(rows, defs)
+                for combo in combinations(cands, defs[v]):
+                    crows = list(rows)
                     cdefs = list(defs)
                     cdefs[v] = 0
                     for w in combo:
+                        crows[v] |= 1 << w
+                        crows[w] |= 1 << v
                         cdefs[w] -= 1
-                    if all(d == 0 for d in cdefs):
-                        if child.is_connected():
-                            ckey = canonical_key(child)
-                            if ckey not in done:
-                                done[ckey] = child
+                    child = Graph._trusted(crows)
+                    comps = component_masks(child)
+                    if not any(cdefs):
+                        if len(comps) == 1:
+                            found.setdefault(canonical_key(child), child)
                         continue
-                    if not _viable(n, child, cdefs):
-                        continue
-                    skey, sg, sdefs = _relabeled_state(child, cdefs)
-                    if skey not in nxt:
-                        nxt[skey] = (sg, sdefs)
+                    # a saturated component can never reconnect, and an open
+                    # vertex of width 0 has too few open non-neighbours left
+                    opened = sum(1 << w for w, d in enumerate(cdefs) if d)
+                    if all(c & opened for c in comps) and _open_vertex(crows, cdefs)[0]:
+                        nxt[canonical_key(child, cdefs)] = None
             frontier = nxt
-        out = list(done.values())
+        out = list(found.values())
     _regular_cache[cache_key] = out
     return out
 

@@ -66,24 +66,16 @@ def parse_graph6(text: str) -> Graph:
     if len(data) - pos > nbytes:
         raise Graph6Error("trailing bytes after bit vector", base + pos + nbytes)
 
-    rows = [0] * n
-    idx = 0
-    i, j = 0, 1
-    for b in range(pos, pos + nbytes):
-        chunk = data[b]
-        for shift in range(5, -1, -1):
-            if idx >= nbits:
-                if (chunk >> shift) & 1:
-                    raise Graph6Error("nonzero padding bits", base + b)
-                continue
-            if (chunk >> shift) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            idx += 1
-            i += 1
-            if i == j:
-                i, j = 0, j + 1
-    return Graph.from_rows(rows)
+    # six bits per byte, most significant first; x(i, j) for i < j, column
+    # by column, is the lower triangle row by row
+    vec = np.unpackbits(np.array(data[pos:], np.uint8)[:, None], axis=1)[:, 2:].ravel()
+    if vec[nbits:].any():
+        raise Graph6Error("nonzero padding bits", base + len(s) - 1)
+    adj = np.zeros((n, n), np.uint8)
+    adj[np.tri(n, k=-1, dtype=bool)] = vec[:nbits]
+    adj |= adj.T
+    packed = np.packbits(adj, axis=1, bitorder="little")
+    return Graph._trusted([int.from_bytes(row.tobytes(), "little") for row in packed])
 
 
 def to_graph6(g: Graph) -> str:

@@ -320,11 +320,12 @@ def check_lemma_3_1(g: Graph, k: int, m: int, st: STPair | None = None) -> Lemma
     profile = classify_hypothesis(r, k, m, "even" if g.n % 2 == 0 else "odd")
     if profile.condition is None:
         return _inapplicable("no hypothesis condition holds")
+    # every condition forces even n (odd n makes r even, condition (i) needs
+    # even n, and (ii) and (iii) need odd r), so kn is even and G cannot be
+    # k-critical: only "has a k-factor" is left to rule out
     report = k_factor(g, k)
     if report.exists:
         return _inapplicable("graph has a k-factor")
-    if is_k_critical(g, k):
-        return _inapplicable("graph is k-critical")
     defc = report.deficiency
 
     if st is not None:

@@ -72,6 +72,12 @@ def test_colored_key_carries_input_colors():
     assert sorted(key[1]) == [0, 0, 1, 1]
 
 
+@pytest.mark.parametrize("colors", [[0, 1, 0], [0, 1, 0, 1, 0]])
+def test_color_list_must_match_vertex_count(colors):
+    with pytest.raises(ValueError, match="color list length"):
+        canonical_labeling(cycle(4), colors)
+
+
 def test_canonical_graph_is_reproducible():
     # the canonical form, rebuilt as a graph, is its own canonical form
     g = petersen()

@@ -53,6 +53,12 @@ def test_basic_family_domains():
         cycles_union([2, 3])
     with pytest.raises(ValueError):
         star(-1)
+    with pytest.raises(ValueError):
+        path(0)
+    with pytest.raises(ValueError):
+        matching(-1)
+    with pytest.raises(ValueError):
+        cycles_union([])
 
 
 def test_extremal_even_example():
@@ -133,6 +139,10 @@ def test_extremal_domain_errors():
         extremal_odd_m1(4)  # r must be odd
     with pytest.raises(ValueError):
         extremal_odd_m2(5)  # r must be even
+    with pytest.raises(ValueError):
+        aux_two_p3(5)  # r must be even
+    with pytest.raises(ValueError):
+        aux_claw(5)  # r must be even
     with pytest.raises(ValueError):
         extremal_odd_m3(5, 2)  # m >= 3
     with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
@@ -91,6 +92,49 @@ def test_regular_enumeration_domain():
     assert enumerate_connected_regular(1, 0) == [empty_graph(1)]
     assert enumerate_connected_regular(4, 1) == []  # matchings are disconnected
     assert len(enumerate_connected_regular(2, 1)) == 1
+
+
+# sha256 of the graph6 lines, in enumeration order, of the connected corpus
+# at each n and of the regular corpora at each n (r ascending); a generator
+# that changes any graph, label or position re-pins these
+CONNECTED_DIGESTS = {
+    1: "ecf5de1a2ecc66a1876a832804c64f6b5125784e94c82285d9720621c613ab46",
+    2: "fae4bfc454bd04363dcd5222772f2973b1193e1ff6f676e822a427323a677ef9",
+    3: "e53a5e15924c562ea91b2e31166da62399d58c4af1027d8ef1aa54ab3235fac4",
+    4: "4fd93a12c759cf8d19b76cedb1838fcc156e79685326c8e75cf763de1c7865eb",
+    5: "17b8ebd6d0503bc134a0f6ce8f8374cc751ebf750ff19c2e9f0dba9f122c1c3d",
+    6: "456c438567fdb1eb7b0a9b2e7d15abae68579715910ddadf83fbe0bc3f9e9bcd",
+    7: "3281f929c85ff3da4ca376f05d6effb355736260f6549a0283f9dffd55e00bdb",
+    8: "95a2c004264a5ff00ba99add1aa55ba82f9834f211f62adf518b5ac6f3d1de3b",
+}
+REGULAR_DIGESTS = {
+    1: "ecf5de1a2ecc66a1876a832804c64f6b5125784e94c82285d9720621c613ab46",
+    2: "fae4bfc454bd04363dcd5222772f2973b1193e1ff6f676e822a427323a677ef9",
+    3: "8e71b38f493557683524eb45ca8f814efe19aa3c9d7e946c42a25658f532618e",
+    4: "21fc48ec7d0641aa42839adacc2276cdfb229f11427322fc3d97a3c21e811fc6",
+    5: "26070ecf7cf53cf33942276066e2437e9cc622532f15b9d97f0f7b7a6590ead2",
+    6: "42c0a9f0f9079ab988f98230c7ad29c79b3a879ac9d0575ee5bc1bccdbc65cb6",
+    7: "97a9172ed16f24e8e18dc9f7a12f988a0ca7ae6aebb8394f9e37a687fed7b2fa",
+    8: "1c2ab7e0c0ad1826f7d27fa387a7d9807a65a314ab4938e7afec6284c2859bed",
+    9: "dff3665fd02aaaa1a2af33a12b3bc86175de5e4c53c00a223865adb181da8f77",
+    10: "5aba5ebd2bb0bf200a8faef9f03b3af74e37411429e396fe733a3705be046b73",
+}
+
+
+def _graph6_digest(graphs) -> str:
+    return hashlib.sha256("".join(to_graph6(g) + "\n" for g in graphs).encode()).hexdigest()
+
+
+def test_corpora_are_pinned_byte_for_byte(connected_by_n):
+    connected = {n: _graph6_digest(graphs) for n, graphs in connected_by_n.items()}
+    regular = {
+        n: _graph6_digest(
+            [g for r in range(n) if n * r % 2 == 0 for g in enumerate_connected_regular(n, r)]
+        )
+        for n in range(1, 11)
+    }
+    assert connected == CONNECTED_DIGESTS
+    assert regular == REGULAR_DIGESTS
 
 
 def test_random_regular_basics():
@@ -220,3 +264,5 @@ def test_random_class_member_domain():
         random_class_member(4, 7, "odd", seed=1)  # m <= r+1
     with pytest.raises(ValueError):
         random_class_member(4, 2, "sideways", seed=1)
+    with pytest.raises(ValueError, match="r >= 3"):
+        random_class_member(2, 1, "odd", seed=0)

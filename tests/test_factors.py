@@ -80,6 +80,15 @@ def test_demand_above_degree_is_infeasible_not_an_error():
     assert rep.deficiency == 2
 
 
+@pytest.mark.parametrize("spec,message", [
+    ([1, 1], "length must equal vertex count"),
+    ([1, -1, 1], "negative at vertex 1"),
+])
+def test_degree_spec_errors(spec, message):
+    with pytest.raises(ValueError, match=message):
+        has_f_factor(path(3), spec)
+
+
 def test_factor_certificate_meets_degrees():
     rng = random.Random(11)
     found = 0

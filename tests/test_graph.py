@@ -54,6 +54,12 @@ def test_construction_rejects_bad_input():
         Graph(3, [(0, 3)])
     with pytest.raises(ValueError):
         Graph(-1, [])
+    with pytest.raises(ValueError, match="outside 0..1"):
+        Graph.from_rows([0b100, 0])
+    with pytest.raises(ValueError, match="self-loop"):
+        Graph.from_rows([0b1])
+    with pytest.raises(ValueError, match="asymmetric"):
+        Graph.from_rows([0b10, 0])
 
 
 def test_empty_graph_edge_cases():

@@ -80,6 +80,18 @@ def test_error_nonzero_padding():
     assert exc.value.offset == 1
 
 
+@pytest.mark.parametrize("text,message,offset", [
+    ("&D~{", "digraph6", 0),
+    (">>graph6<<&D~{", "digraph6", 10),
+    ("~AB", "truncated vertex count", 3),
+    ("~~??????", "beyond 258047", 1),
+])
+def test_error_header(text, message, offset):
+    with pytest.raises(Graph6Error, match=message) as exc:
+        parse_graph6(text)
+    assert exc.value.offset == offset
+
+
 def test_error_is_value_error():
     with pytest.raises(ValueError):
         parse_graph6(":D~{")
@@ -90,6 +102,8 @@ def test_multibyte_vertex_count():
     line = to_graph6(g)
     assert line.startswith("~")
     assert parse_graph6(line) == g
+    with pytest.raises(ValueError, match="beyond 258047"):
+        to_graph6(Graph(258048))
 
 
 def test_round_trip_corpus():

@@ -199,6 +199,8 @@ def test_quotient_partition_validation():
         quotient_matrix(g, [[0, 1]])  # not covering
     with pytest.raises(ValueError):
         quotient_matrix(g, [[0, 1], []])  # empty cell
+    with pytest.raises(ValueError, match="vertex 4 out of range"):
+        quotient_matrix(g, [[0, 1], [2, 3, 4]])
 
 
 def test_is_equitable_examples():
@@ -294,6 +296,8 @@ def test_rho1_examples_and_domain():
             rho1(*bad)
     # ungated closed form covers parameters the class gate rejects
     assert rho1_value(3, 2) == pytest.approx(0.5 * (1 + math.sqrt(17)), abs=1e-12)
+    with pytest.raises(ValueError, match="undefined"):
+        rho1_value(0, 1)
 
 
 def test_rho2_examples_and_domain():

@@ -9,17 +9,20 @@ tests here freeze that behavior rather than mask it.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
 
 from specfactor.canon import canonical_key
-from specfactor.constructions import complete_graph, cycle, extremal_odd_m2, petersen
+from specfactor.constructions import complete_graph, cycle, extremal_odd_m1, extremal_odd_m2, petersen
 from specfactor.corpus import enumerate_connected_regular
 from specfactor.graph import Graph, disjoint_union
-from specfactor import oracle
+from specfactor.graph6 import to_graph6
+from specfactor import oracle, theorems
 from specfactor.oracle import STPair, brute_force_deficiency
-from specfactor.spectral import cubic_family, eigenvalues, largest_root
+from specfactor.factors import k_factor
+from specfactor.spectral import cubic_family, eigenvalues, largest_root, rho2
 from specfactor.theorems import (
     check_lemma_3_1,
     classify_hypothesis,
@@ -223,6 +226,35 @@ def _three_blob_vehicle(blob=_K4_SUBDIVIDED) -> Graph:
     return Graph(hub + 1, edges)
 
 
+def test_odd_r_campaign_judges_graphs_outside_the_hypothesis(monkeypatch):
+    # the default blob is extremal_odd_m1(3), the only graph with degrees
+    # (3, 3, 3, 3, 2), so the vehicle is the cubic sharpness witness: no 1-
+    # or 2-factor, and lambda3 equal to the m = 1 threshold
+    assert canonical_key(Graph(5, _K4_SUBDIVIDED)) == canonical_key(extremal_odd_m1(3))
+    w = _three_blob_vehicle()
+    assert not k_factor(w, 1).exists and not k_factor(w, 2).exists
+    assert eigenvalues(w)[2] == pytest.approx(rho2(3, 1).value, abs=1e-12)
+    for k, m in ((1, 2), (2, 3)):
+        rep = verify_thm_3_3(3, k, m, [w])
+        assert rep.hypothesis_count == 0 and rep.passed
+        assert all(rep.details["variant_supported_by_data"].values())
+
+    def raised(r, m):
+        t = rho2(r, m)
+        return dataclasses.replace(t, value=t.value + 0.1)
+
+    # a threshold 0.1 higher puts the witness inside the hypothesis
+    monkeypatch.setattr(theorems, "rho2", raised)
+    rep = verify_thm_3_3(3, 1, 2, [w])
+    assert rep.hypothesis_count == 1
+    assert rep.counterexamples == [to_graph6(w)] and not rep.passed
+    # at (3, 2, 3) the witness stays outside, and its lambda3 now refutes
+    # the raised rho2(r, m-2) variant
+    rep = verify_thm_3_3(3, 2, 3, [w])
+    assert rep.hypothesis_count == 0 and rep.passed
+    assert rep.details["variant_supported_by_data"] == {"rho1(r,m-1)": True, "rho2(r,m-2)": False}
+
+
 def test_deficiency_decomposition_on_live_graph():
     g = _three_blob_vehicle()
     assert g.is_regular() and g.degree(0) == 3
@@ -294,7 +326,11 @@ def test_deficiency_decomposition_gates():
     r4 = check_lemma_3_1(complete_graph(5), 1, 2)
     assert not r4.applicable
     r5 = check_lemma_3_1(cycle(5), 1, 2)
-    assert not r5.applicable  # k = r here, outside 1 <= k < r
+    assert not r5.applicable and "condition" in r5.reason  # odd order, even r
+    r6 = check_lemma_3_1(Graph(3, [(0, 1), (1, 2)]), 1, 2)
+    assert not r6.applicable and r6.reason == "input graph is not regular"
+    r7 = check_lemma_3_1(cycle(4), 2, 2)
+    assert not r7.applicable and r7.reason == "k outside 1 <= k < r"
     with pytest.raises(ValueError):
         check_lemma_3_1(_three_blob_vehicle(), 1, 0)
 
