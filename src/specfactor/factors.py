@@ -4,6 +4,12 @@ The solver uses one gadget: each edge becomes two joined edge nodes and
 vertex v gets min(f(v), d(v)) slot nodes joined to v's edge nodes.  A
 maximum matching yields a maximum subgraph with deg(v) <= f(v), of size nu;
 def = sum(f) - 2*nu, and at def = 0 that subgraph is an f-factor.
+
+k-criticality answers all 2n near-factor queries (f = k but k +- 1 at one
+vertex) from one matching of the k-gadget and one Gallai-Edmonds pass over
+it; `is_k_critical` gives the rule and why it is exact (a vertex's slot
+nodes are twins, and with f <= d an f-factor is a perfect matching of the
+f-gadget).
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .graph import Graph
-from .matching import _max_matching_adj
+from .matching import _max_matching_adj, _missable
 
 
 @dataclass(frozen=True)
@@ -33,14 +39,15 @@ def _normalize_spec(g: Graph, spec: Sequence[int]) -> list[int]:
     return f
 
 
-def _bounded_subgraph(g: Graph, caps: Sequence[int]) -> list[tuple[int, int]]:
-    """Edges of a maximum subgraph with deg(v) <= caps[v] for every v.
+def _gadget(
+    g: Graph, caps: Sequence[int]
+) -> tuple[list[tuple[int, int]], list[list[int]], list[list[int]], list[range]]:
+    """The slot gadget: (edges, adj, ends_of, slots_of).
 
-    Gadget: edge i becomes nodes 2i, 2i+1 (joined), then vertex v gets
-    min(caps[v], d(v)) slot nodes joined to all of v's edge nodes.  In a
-    maximum matching of it no edge has both nodes free, so the edges whose
-    nodes are both matched to slots form the maximum bounded subgraph and
-    nu = |matching| - e(g).
+    Edge i becomes nodes 2i, 2i+1 (joined); ends_of[v] lists the edge nodes
+    on v's side.  Vertex v then gets min(caps[v], d(v)) slot nodes,
+    slots_of[v], each joined to all of ends_of[v], so v's slot nodes are
+    twins.
     """
     edges = g.edges()
     ends_of: list[list[int]] = [[] for _ in range(g.n)]
@@ -48,11 +55,25 @@ def _bounded_subgraph(g: Graph, caps: Sequence[int]) -> list[tuple[int, int]]:
         ends_of[u].append(2 * i)
         ends_of[v].append(2 * i + 1)
     adj = [[node ^ 1] for node in range(2 * len(edges))]
+    slots_of = []
     for v in range(g.n):
+        first = len(adj)
         for _ in range(min(caps[v], len(ends_of[v]))):
             for e_node in ends_of[v]:
                 adj[e_node].append(len(adj))
             adj.append(list(ends_of[v]))
+        slots_of.append(range(first, len(adj)))
+    return edges, adj, ends_of, slots_of
+
+
+def _bounded_subgraph(g: Graph, caps: Sequence[int]) -> list[tuple[int, int]]:
+    """Edges of a maximum subgraph with deg(v) <= caps[v] for every v.
+
+    In a maximum matching of the slot gadget no edge has both nodes free,
+    so the edges whose nodes are both matched to slots form the maximum
+    bounded subgraph and nu = |matching| - e(g).
+    """
+    edges, adj, _, _ = _gadget(g, caps)
     match = _max_matching_adj(len(adj), adj)
     picked = []
     for i, (u, v) in enumerate(edges):
@@ -107,23 +128,36 @@ def k_factor(g: Graph, k: int) -> FactorReport:
 
 def is_k_critical(g: Graph, k: int) -> bool:
     """No k-factor, but for every vertex x some spanning subgraph hits
-    degree k everywhere except k-1 or k+1 at x."""
+    degree k everywhere except k-1 or k+1 at x.
+
+    Decided from one matching of the k-gadget.  A vertex of degree below k
+    rules out the near-factor at every other vertex, so then only K1 at
+    k = 1 is critical.  Otherwise every cap is k <= d(v), so an f-factor
+    with f <= d exists exactly when the f-gadget has a perfect matching.
+    Lowering f(x) to k-1 deletes one of x's slot nodes, and raising it to
+    k+1 adds one more; x's slot nodes are twins, so which one does not
+    matter.  The k-gadget has an odd number of nodes (so no k-factor), and
+    either change leaves a perfect matching exactly when the k-gadget has
+    one exposed node and, for k-1, a slot node of x is missable (some
+    maximum matching leaves it exposed), or, for k+1, an edge node of x is
+    missable (the new slot takes it).  That edge-node test needs no
+    d(x) > k check: when x has d(x) = k slots, a matching that leaves one
+    of x's edge nodes exposed leaves one of its slots exposed too.
+    """
     if k < 1:
         raise ValueError("k must be at least 1")
     if (k * g.n) % 2 == 0:
         # near-factor degree sums k*n +- 1 are odd, so they cannot exist;
         # graphs with a k-factor are excluded by definition as well
         return False
-    if k_factor(g, k).exists:
+    if min(g.degrees()) < k:
+        return g.n == 1 and k == 1
+    _, adj, ends_of, slots_of = _gadget(g, [k] * g.n)
+    match = _max_matching_adj(len(adj), adj)
+    if match.count(-1) != 1:
         return False
-    for x in range(g.n):
-        f = [k] * g.n
-        found = False
-        for fx in (k + 1, k - 1):
-            f[x] = fx
-            if has_f_factor(g, f).exists:
-                found = True
-                break
-        if not found:
-            return False
-    return True
+    missable = _missable(adj, match)
+    return all(
+        missable[slots_of[x][0]] or any(missable[e] for e in ends_of[x])
+        for x in range(g.n)
+    )

@@ -37,23 +37,25 @@ def parse_graph6(text: str) -> Graph:
     if s[0] == "&":
         raise Graph6Error("digraph6 input is not supported", base)
 
-    data = []
-    for i, ch in enumerate(s):
-        v = ord(ch) - 63
-        if not 0 <= v <= 63:
-            raise Graph6Error(f"byte {ch!r} outside graph6 range", base + i)
-        data.append(v)
+    # one code point per character, so an index into data is one into s;
+    # code points below 63 wrap around to large values
+    data = np.frombuffer(s.encode("utf-32-le", "surrogatepass"), np.uint32) - 63
+    bad = np.flatnonzero(data > 63)
+    if bad.size:
+        i = int(bad[0])
+        raise Graph6Error(f"byte {s[i]!r} outside graph6 range", base + i)
 
     # vertex count: one byte up to 62, '~' prefix for 63..258047
-    if data[0] < 63:
-        n = data[0]
+    head = [int(x) for x in data[:4]]
+    if head[0] < 63:
+        n = head[0]
         pos = 1
     else:
-        if len(data) < 4:
+        if len(head) < 4:
             raise Graph6Error("truncated vertex count", base + len(s))
-        if data[1] == 63:
+        if head[1] == 63:
             raise Graph6Error("graphs beyond 258047 vertices unsupported", base + 1)
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
+        n = (head[1] << 12) | (head[2] << 6) | head[3]
         pos = 4
 
     nbits = n * (n - 1) // 2
@@ -68,7 +70,7 @@ def parse_graph6(text: str) -> Graph:
 
     # six bits per byte, most significant first; x(i, j) for i < j, column
     # by column, is the lower triangle row by row
-    vec = np.unpackbits(np.array(data[pos:], np.uint8)[:, None], axis=1)[:, 2:].ravel()
+    vec = np.unpackbits(data[pos:].astype(np.uint8)[:, None], axis=1)[:, 2:].ravel()
     if vec[nbits:].any():
         raise Graph6Error("nonzero padding bits", base + len(s) - 1)
     adj = np.zeros((n, n), np.uint8)

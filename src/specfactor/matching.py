@@ -5,21 +5,18 @@ from __future__ import annotations
 from .graph import Graph
 
 
-def _max_matching_adj(n: int, adj: list[list[int]]) -> list[int]:
-    """Array-based blossom search; returns match[] with -1 for exposed vertices."""
-    match = [-1] * n
-    # greedy seed cuts the number of augmenting searches roughly in half
-    for v in range(n):
-        if match[v] == -1:
-            for u in adj[v]:
-                if match[u] == -1:
-                    match[v] = u
-                    match[u] = v
-                    break
+def _blossom_search(adj: list[list[int]], match: list[int]):
+    """Edmonds' alternating-forest search over `match`, updated in place.
 
+    Returns (find_path, p, used).  find_path(root) grows a tree from the
+    exposed node `root`, contracting blossoms, and returns the exposed end of
+    an augmenting path (walk back through p and match to flip it) or -1.
+    After a failed search, used[] marks the tree's even nodes: exactly those
+    reached from root by an even alternating path.
+    """
+    n = len(adj)
     p = [0] * n
     base = [0] * n
-    q: list[int] = []
     used = [False] * n
     blossom = [False] * n
 
@@ -46,7 +43,6 @@ def _max_matching_adj(n: int, adj: list[list[int]]) -> list[int]:
             v = p[match[v]]
 
     def find_path(root: int) -> int:
-        nonlocal q
         for i in range(n):
             used[i] = False
             p[i] = -1
@@ -81,6 +77,22 @@ def _max_matching_adj(n: int, adj: list[list[int]]) -> list[int]:
                     q.append(match[to])
         return -1
 
+    return find_path, p, used
+
+
+def _max_matching_adj(n: int, adj: list[list[int]]) -> list[int]:
+    """Array-based blossom search; returns match[] with -1 for exposed vertices."""
+    match = [-1] * n
+    # greedy seed cuts the number of augmenting searches roughly in half
+    for v in range(n):
+        if match[v] == -1:
+            for u in adj[v]:
+                if match[u] == -1:
+                    match[v] = u
+                    match[u] = v
+                    break
+
+    find_path, p, _ = _blossom_search(adj, match)
     for v in range(n):
         if match[v] != -1:
             continue
@@ -92,6 +104,25 @@ def _max_matching_adj(n: int, adj: list[list[int]]) -> list[int]:
             match[pv] = u
             u = ppv
     return match
+
+
+def _missable(adj: list[list[int]], match: list[int]) -> list[bool]:
+    """missable[v]: some maximum matching leaves node v exposed.
+
+    These are the nodes reached by an even alternating path from a node
+    that `match` leaves exposed (the Gallai-Edmonds set D), marked by one
+    failed search per exposed node.  `match` must be a maximum matching of
+    adj; an augmenting path found on the way raises RuntimeError.
+    """
+    find_path, _, used = _blossom_search(adj, match)
+    missable = [False] * len(adj)
+    for root, mate in enumerate(match):
+        if mate != -1:
+            continue
+        if find_path(root) != -1:
+            raise RuntimeError("matching not maximum")
+        missable = [m or u for m, u in zip(missable, used)]
+    return missable
 
 
 def max_matching(g: Graph) -> list[tuple[int, int]]:

@@ -4,8 +4,10 @@ The naive deficiency reference here recomputes the Tutte functional from
 its definition with a base-3 assignment counter and a union-find rebuilt
 per pair, so the optimized sweep in the package is checked against an
 implementation that shares no code with it.  The cyclic Jacobi solver here
-is the reference for the package's eigvalsh spectra, and the full-signature
-canonical labeling is the reference for the package's splitter refinement.
+is the reference for the package's eigvalsh spectra, the full-signature
+canonical labeling is the reference for the package's splitter refinement,
+and the per-vertex near-factor loop is the reference for the package's
+one-matching k-criticality rule.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 import pytest
 
 from specfactor.corpus import enumerate_connected_graphs, enumerate_connected_regular
+from specfactor.factors import has_f_factor, k_factor
 from specfactor.graph import Graph, bits, component_masks
 
 
@@ -184,6 +187,24 @@ def reference_f_factor(g: Graph, f) -> tuple[bool, int]:
     fits = np.all(degs <= np.asarray(f), axis=1)
     defect = sum(f) - 2 * int(sizes[fits].max())
     return defect == 0, defect
+
+
+def reference_is_k_critical(g: Graph, k: int) -> bool:
+    """k-criticality by its definition: no k-factor, and for every vertex x
+    an f-factor with f = k except k + 1 or k - 1 at x, one query each."""
+    if (k * g.n) % 2 == 0 or k_factor(g, k).exists:
+        return False
+    for x in range(g.n):
+        f = [k] * g.n
+        found = False
+        for fx in (k + 1, k - 1):
+            f[x] = fx
+            if has_f_factor(g, f).exists:
+                found = True
+                break
+        if not found:
+            return False
+    return True
 
 
 def jacobi_eigenvalues(a: np.ndarray, off_tol: float = 1e-12) -> np.ndarray:

@@ -21,17 +21,18 @@ from specfactor.constructions import (
     petersen,
     star,
 )
+from specfactor.corpus import random_regular
 from specfactor.factors import (
     deficiency,
     has_f_factor,
     is_k_critical,
     k_factor,
 )
-from specfactor import factors
-from specfactor.graph import Graph
+from specfactor import factors, matching
+from specfactor.graph import Graph, join
 from specfactor.oracle import STPair, brute_force_deficiency, delta
 
-from conftest import random_graph, reference_f_factor
+from conftest import random_graph, reference_f_factor, reference_is_k_critical
 
 import pytest
 
@@ -164,8 +165,9 @@ def _specs(n: int, k: int):
 
 
 def test_f_factor_agrees_with_edge_subset_reference(connected_by_n):
-    # the uniform spec and every one-vertex k +- 1 spec, as is_k_critical
-    # asks them, against an edge-subset enumeration that uses no matching
+    # the uniform spec and every one-vertex k +- 1 spec, the near-factor
+    # queries of k-criticality, against an edge-subset enumeration that uses
+    # no matching
     checked = 0
     for n in range(1, 7):
         for g in connected_by_n[n]:
@@ -203,8 +205,75 @@ def test_criticality_examples():
     # K_{1,4}: a leaf can reach neither degree 0 nor 2 while the other
     # three leaves stay at 1, so it is not critical
     assert not is_k_critical(star(4), 1)
+    # K1 has no edges: only k = 1 lets its one vertex drop to degree 0
+    assert is_k_critical(Graph(1, []), 1)
+    assert not is_k_critical(Graph(1, []), 3)
+    # the wheel W4 at k = 3: each rim vertex has degree exactly k, so k + 1
+    # is out of reach there and only the k - 1 near-factor serves it
+    wheel = join(empty_graph(1), cycle(4))
+    assert wheel.degrees() == (4, 3, 3, 3, 3)
+    assert is_k_critical(wheel, 3)
+    # K5 less two edges at vertex 0: degree k - 1 there rules out every
+    # other vertex's near-factor
+    low = Graph(5, [e for e in complete_graph(5).edges() if e not in ((0, 1), (0, 2))])
+    assert low.degree(0) == 2
+    assert not is_k_critical(low, 3)
     with pytest.raises(ValueError):
         is_k_critical(cycle(5), 0)
+
+
+def test_criticality_agrees_with_reference_on_connected_graphs(connected_by_n):
+    queries = critical = 0
+    for n in range(1, 9):
+        for g in connected_by_n[n]:
+            for k in range(1, 5):
+                got = is_k_critical(g, k)
+                assert got == reference_is_k_critical(g, k), (g.edges(), k)
+                queries += 1
+                critical += got
+    assert (queries, critical) == (48452, 884)
+
+
+def test_criticality_agrees_with_reference_on_random_graphs():
+    # disconnected graphs and isolated vertices included
+    rng = random.Random(29)
+    critical = 0
+    for _ in range(2000):
+        g = random_graph(rng.randrange(0, 12), rng.random(), rng)
+        k = rng.randrange(1, 5)
+        got = is_k_critical(g, k)
+        assert got == reference_is_k_critical(g, k), (g.n, g.edges(), k)
+        critical += got
+    assert critical > 50
+
+
+@pytest.mark.parametrize("n,r", [(21, 4), (31, 4), (25, 6), (33, 8)])
+def test_criticality_agrees_with_reference_on_random_regular(n, r):
+    for seed in range(10):
+        g = random_regular(n, r, seed)
+        for k in (1, r - 1):
+            assert is_k_critical(g, k) == reference_is_k_critical(g, k), (seed, k)
+
+
+def test_criticality_runs_one_matching(monkeypatch):
+    calls = []
+
+    def counting(n, adj):
+        calls.append(n)
+        return matching._max_matching_adj(n, adj)
+
+    monkeypatch.setattr(factors, "_max_matching_adj", counting)
+    # odd k*n and minimum degree >= k: one matching per query
+    for g, k in [(cycle(5), 1), (complete_graph(5), 3), (star(4), 1),
+                 (random_regular(21, 4, 0), 3), (random_regular(25, 6, 1), 5)]:
+        calls.clear()
+        is_k_critical(g, k)
+        assert len(calls) == 1, (g.edges(), k)
+    # even k*n, or a vertex below degree k: none
+    for g, k in [(cycle(4), 1), (petersen(), 1), (complete_graph(5), 2), (path(5), 3)]:
+        calls.clear()
+        is_k_critical(g, k)
+        assert calls == [], (g.edges(), k)
 
 
 def test_critical_graphs_have_deficiency_one():

@@ -59,6 +59,23 @@ def test_error_out_of_range_byte():
     assert exc.value.offset == 2
 
 
+@pytest.mark.parametrize("text,offset,ch", [
+    ("€", 0, "€"),
+    ("D~€", 2, "€"),
+    ("D€{", 1, "€"),
+    (">>graph6<<D€{", 11, "€"),
+    ("D~\U0001f600{", 2, "\U0001f600"),
+    ("D\ud800{", 1, "\ud800"),
+    ("~€??", 1, "€"),
+])
+def test_error_non_ascii_character(text, offset, ch):
+    # offsets count characters, so a multi-byte character is one position
+    with pytest.raises(Graph6Error) as exc:
+        parse_graph6(text)
+    assert exc.value.offset == offset
+    assert str(exc.value) == f"byte {ch!r} outside graph6 range (byte offset {offset})"
+
+
 def test_error_truncated_bit_vector():
     # K5 needs two bit-vector bytes; drop the last one
     with pytest.raises(Graph6Error) as exc:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,8 +18,9 @@ from specfactor.constructions import (
     petersen,
     star,
 )
-from specfactor.graph import Graph, join
-from specfactor.matching import matching_number, max_matching
+from specfactor import factors
+from specfactor.graph import Graph, induced_subgraph, join
+from specfactor.matching import _max_matching_adj, _missable, matching_number, max_matching
 from specfactor.oracle import brute_force_deficiency
 
 from conftest import random_graph
@@ -98,3 +100,42 @@ def test_augmenting_through_blossoms():
     # two triangles bridged by an edge force odd-cycle handling
     g = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)])
     assert matching_number(g) == 3
+
+
+def _check_missable(n: int, adj: list[list[int]]) -> int:
+    """Assert missable[v] iff nu(G - v) = nu(G); return the missable count."""
+    g = Graph(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
+    missable = _missable(adj, _max_matching_adj(n, adj))
+    nu = matching_number(g)
+    for v in range(n):
+        rest = induced_subgraph(g, [u for u in range(n) if u != v])
+        assert missable[v] == (matching_number(rest) == nu), (g.edges(), v)
+    return sum(missable)
+
+
+def test_missable_nodes_are_those_some_maximum_matching_misses():
+    rng = random.Random(31)
+    graphs = [cycle(5), cycle(7), petersen(), path(5), star(3),
+              Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)])]
+    graphs += [random_graph(rng.randrange(1, 13), rng.random(), rng) for _ in range(300)]
+    assert sum(_check_missable(g.n, [list(g.neighbors(v)) for v in range(g.n)])
+               for g in graphs) > 300
+
+
+def test_missable_on_factor_gadgets():
+    # slot gadgets have twin slot nodes and many blossoms through edge pairs
+    rng = random.Random(37)
+    for _ in range(150):
+        g = random_graph(rng.randrange(1, 7), rng.random(), rng)
+        caps = [rng.randrange(0, 4) for _ in range(g.n)]
+        _, adj, _, _ = factors._gadget(g, caps)
+        _check_missable(len(adj), adj)
+
+
+def test_missable_refuses_a_matching_that_is_not_maximum():
+    # path 0-1-2-3 matched only in the middle: 0-1-2-3 augments it
+    adj = [[1], [0, 2], [1, 3], [2]]
+    with pytest.raises(RuntimeError, match="not maximum"):
+        _missable(adj, [-1, 2, 1, -1])
+    with pytest.raises(RuntimeError, match="not maximum"):
+        _missable([[1], [0]], [-1, -1])
