@@ -3,9 +3,13 @@
 A partition is an ordered list of cell bitmasks, first the color classes by
 color value.  Refinement splits cells by neighbour counts into splitter cells,
 the next splitters being the new fragments but the last of each (McKay and
-Piperno, 2014).  The search individualizes each vertex of the first
-non-singleton cell as the sole splitter, keeping the lexicographically greatest
-relabeled adjacency rows.  Meant for n up to ~16, under a node budget.
+Piperno, 2014).  A vertex's counts are packed into one int, first splitter
+highest, at n.bit_length() bits each, so int order is count-tuple order; a
+lone one-vertex splitter w splits each cell into its part outside w's row,
+then its part inside.  The search individualizes each vertex of the first
+non-singleton cell as the sole splitter, keeping the lexicographically
+greatest relabeled adjacency rows; a leaf stops at its first row below the
+best key's.  Meant for n up to ~16, under a node budget.
 """
 
 from __future__ import annotations
@@ -18,24 +22,37 @@ _NODE_BUDGET = 500_000
 
 
 def _refine(rows: Sequence[int], cells: list[int], splitters: list[int]) -> list[int]:
+    width = len(rows).bit_length()  # room for any count, at most n - 1
     while splitters:
         out: list[int] = []
         nxt: list[int] = []
-        for cell in cells:
-            if cell & (cell - 1) == 0:
-                out.append(cell)
-                continue
-            groups: dict[tuple[int, ...], int] = {}
-            for v in bits(cell):
-                r = rows[v]
-                sig = tuple([(r & s).bit_count() for s in splitters])
-                groups[sig] = groups.get(sig, 0) | 1 << v
-            if len(groups) == 1:
-                out.append(cell)
-                continue
-            frags = [groups[s] for s in sorted(groups)]
-            out += frags
-            nxt += frags[:-1]
+        if len(splitters) == 1 and splitters[0] & (splitters[0] - 1) == 0:
+            row = rows[splitters[0].bit_length() - 1]
+            for cell in cells:
+                hit = cell & row
+                if hit and hit != cell:
+                    out += (cell ^ hit, hit)
+                    nxt.append(cell ^ hit)
+                else:
+                    out.append(cell)
+        else:
+            for cell in cells:
+                if cell & (cell - 1) == 0:
+                    out.append(cell)
+                    continue
+                groups: dict[int, int] = {}
+                for v in bits(cell):
+                    r = rows[v]
+                    sig = 0
+                    for s in splitters:
+                        sig = sig << width | (r & s).bit_count()
+                    groups[sig] = groups.get(sig, 0) | 1 << v
+                if len(groups) == 1:
+                    out.append(cell)
+                    continue
+                frags = [groups[s] for s in sorted(groups)]
+                out += frags
+                nxt += frags[:-1]
         cells = out
         splitters = nxt
     return cells
@@ -62,21 +79,26 @@ def canonical_labeling(
     for v, c in enumerate(init):
         classes[c] = classes.get(c, 0) | (1 << v)
     root = [classes[c] for c in sorted(classes)]
-    nbrs = [list(bits(r)) for r in rows]
     best: list = [None, None]  # key, perm
     budget = [_NODE_BUDGET]
 
     def leaf(cells: list[int]) -> None:
         perm = [c.bit_length() - 1 for c in cells]
-        pos = [0] * n
+        bit = [0] * n
         for i, v in enumerate(perm):
-            pos[v] = i
-        newrows = [0] * n
-        for v in range(n):
+            bit[v] = 1 << i
+        rival = best[0][0] if best[0] is not None else None
+        newrows: list[int] = []
+        for i, v in enumerate(perm):
             nr = 0
-            for u in nbrs[v]:
-                nr |= 1 << pos[u]
-            newrows[pos[v]] = nr
+            for u in bits(rows[v]):
+                nr |= bit[u]
+            if rival is not None:
+                if nr < rival[i]:
+                    return
+                if nr > rival[i]:
+                    rival = None
+            newrows.append(nr)
         key = (tuple(newrows), tuple([init[v] for v in perm]))
         if best[0] is None or key > best[0]:
             best[0] = key

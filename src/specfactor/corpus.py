@@ -55,18 +55,19 @@ def enumerate_connected_graphs(n: int) -> list[Graph]:
 
 def _open_vertex(
     rows: Sequence[int], deficits: Sequence[int]
-) -> tuple[int, int, list[int]] | None:
+) -> tuple[int, int, Sequence[int]] | None:
     """(width, v, candidates) for the first open vertex v with the fewest ways
     to saturate it: candidates are the other open vertices not adjacent to v,
     and width = C(len(candidates), deficits[v]).  None when no vertex is open."""
     opened = sum(1 << v for v, d in enumerate(deficits) if d)
-    best = None
-    for v in bits(opened):
-        cands = list(bits(opened & ~rows[v] & ~(1 << v)))
-        width = comb(len(cands), deficits[v])
-        if best is None or width < best[0]:
-            best = (width, v, cands)
-    return best
+    if not opened:
+        return None
+    v = min(
+        bits(opened),
+        key=lambda u: comb((opened & ~rows[u] & ~(1 << u)).bit_count(), deficits[u]),
+    )
+    cands = bits(opened & ~rows[v] & ~(1 << v))
+    return comb(len(cands), deficits[v]), v, cands
 
 
 def enumerate_connected_regular(n: int, r: int) -> list[Graph]:

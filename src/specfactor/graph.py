@@ -2,17 +2,28 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 
-def bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of a non-negative mask, ascending."""
+# set-bit indices of every byte value, as is and shifted up by 8
+_LOW = tuple([tuple([i for i in range(8) if b >> i & 1]) for b in range(256)])
+_HIGH = tuple([tuple([i + 8 for i in low]) for low in _LOW])
+
+
+def bits(mask: int) -> Sequence[int]:
+    """Indices of the set bits of a non-negative mask, ascending: a tuple from
+    two byte tables below 2**16, else a fresh list built from the top bit down."""
+    if mask < 0x10000:
+        return _LOW[mask & 255] + _HIGH[mask >> 8]
+    out: list[int] = []
     while mask:
-        lsb = mask & -mask
-        yield lsb.bit_length() - 1
-        mask ^= lsb
+        top = mask.bit_length() - 1  # unlike mask & -mask, negates no long int
+        out.append(top)
+        mask ^= 1 << top
+    out.reverse()
+    return out
 
 
 class Graph:
@@ -93,7 +104,7 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self._rows[u] >> v) & 1)
 
-    def neighbors(self, v: int) -> Iterator[int]:
+    def neighbors(self, v: int) -> Sequence[int]:
         return bits(self._rows[v])
 
     def edges(self) -> list[tuple[int, int]]:

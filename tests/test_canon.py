@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from specfactor import canon, corpus
 from specfactor.canon import canonical_key, canonical_labeling
-from specfactor.constructions import cycle, petersen
+from specfactor.constructions import complete_graph, cycle, petersen
 from specfactor.graph import Graph
 
 from conftest import random_graph, reference_canonical_labeling
@@ -117,11 +117,49 @@ def test_enumerator_labelings_match_reference(monkeypatch):
         assert canonical_labeling(g, colors) == reference_canonical_labeling(g, colors)[:2]
 
 
-@pytest.mark.parametrize("g", [petersen(), cycle(8)], ids=["petersen", "cycle8"])
-def test_node_budget_admits_exactly_the_reference_search(g, monkeypatch):
-    key, perm, nodes = reference_canonical_labeling(g)
+def _cube() -> Graph:
+    return Graph(8, [(v, v ^ 1 << i) for v in range(8) for i in range(3) if v < v ^ 1 << i])
+
+
+# a frontier state of the (10, 5) regular enumeration, colored by its deficits
+_STATE_10_5 = Graph.from_rows([28, 540, 355, 419, 227, 540, 532, 536, 524, 482])
+
+
+@pytest.mark.parametrize(
+    "g, colors",
+    [
+        (petersen(), None),
+        (cycle(8), None),
+        (_cube(), [bin(v).count("1") % 2 for v in range(8)]),
+        (Graph(6, [(u, v) for u in range(3) for v in range(3, 6)]), None),
+        (_STATE_10_5, [5 - d for d in _STATE_10_5.degrees()]),
+    ],
+    ids=["petersen", "cycle8", "cube_bipartition", "k33", "state_10_5"],
+)
+def test_node_budget_admits_exactly_the_reference_search(g, colors, monkeypatch):
+    key, perm, nodes = reference_canonical_labeling(g, colors)
     monkeypatch.setattr(canon, "_NODE_BUDGET", nodes)
-    assert canonical_labeling(g) == (key, perm)
+    assert canonical_labeling(g, colors) == (key, perm)
     monkeypatch.setattr(canon, "_NODE_BUDGET", nodes - 1)
     with pytest.raises(RuntimeError, match="node budget exceeded"):
-        canonical_labeling(g)
+        canonical_labeling(g, colors)
+
+
+@pytest.mark.parametrize("n", [7, 8, 15, 16, 17])
+def test_packed_counts_match_reference_where_counts_reach_n_minus_1(n):
+    # n.bit_length() bits per packed count; these n sit at both sides of a
+    # change in that width, and K_n's counts reach n - 1
+    rng = random.Random(n)
+    full = complete_graph(n)
+    # K_n minus the matching {0, 1}, {2, 3}, ...; uncolored, its search
+    # tree grows like (n - 1)!!, too large for the reference beyond n = 8
+    unmatched = Graph.from_rows([r & ~(1 << (v ^ 1)) for v, r in enumerate(full.rows)])
+    two = [(v // 2) % 2 for v in range(n)]
+    three = [(v // 2) % 3 - 1 for v in range(n)]
+    cases = [(unmatched, two), (unmatched, three)]
+    if n <= 8:
+        cases.append((unmatched, None))
+    for g in (full, random_graph(n, 0.5, rng), random_graph(n, 0.85, rng)):
+        cases += [(g, None), (g, two), (g, three)]
+    for g, colors in cases:
+        assert canonical_labeling(g, colors) == reference_canonical_labeling(g, colors)[:2]

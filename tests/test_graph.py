@@ -123,12 +123,20 @@ def test_induced_subgraph_examples():
 
 
 def test_bits():
-    assert list(bits(0)) == []
-    assert list(bits(1)) == [0]
-    assert list(bits(1 << 40)) == [40]
-    assert list(bits(0b1011_0010)) == [1, 4, 5, 7]
-    mask = (1 << 63) | (1 << 33) | 5
-    assert list(bits(mask)) == [0, 2, 33, 63]
+    def want(mask):
+        return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+    dense = (1 << 64) - 1 - (1 << 17) - (1 << 40)
+    for mask in (0, 1, 255, 256, 0xFFFF, 1 << 16, (1 << 16) | 1, 1 << 40, 0b1011_0010, dense):
+        assert list(bits(mask)) == want(mask)
+    # a returned value cannot corrupt the shared byte tables
+    for mask in (0b1011_0010, 0x1234, (1 << 40) | 5):
+        got = bits(mask)
+        try:
+            got[0] = 99  # type: ignore[index]
+        except TypeError:
+            pass
+        assert list(bits(mask)) == want(mask)
 
 
 def test_connected_components_examples():
