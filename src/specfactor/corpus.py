@@ -4,13 +4,17 @@ Connected graphs are enumerated by vertex extension (every connected graph
 has a non-cut vertex, so each one on n vertices arises from a connected
 graph on n-1 by attaching a new vertex to a non-empty subset).  Connected
 regular graphs grow by one saturation step per round: each state, a graph
-with a deficit (r minus degree) per vertex, joins the open vertex with the
+with a deficit (r minus degree) per vertex, joins the open vertex v with the
 fewest ways to saturate it to each set of deficit-many open non-neighbours.  A
 child is kept when it is complete and connected; an incomplete child goes
 on when each component has an open vertex and each open vertex has at least
 its deficit in open non-neighbours.  The next round holds the canonical
 (rows, deficits) keys of those children.  Both enumerations keep the first
-graph found per canonical key.
+graph found per canonical key, keying finished regular graphs with triangle
+counts per vertex as colors, which split the equitable root cell.  When
+a < b are twins (rows equal outside {a, b}, so equal deficits; in a state,
+neither is v), the swap (a b) fixes the vertex being joined and maps an
+extension holding b but not a onto an earlier isomorphic one: it is skipped.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 from math import comb
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graph import Graph, bits, complement, component_masks
 from .canon import canonical_key, canonical_labeling  # noqa: F401 (traced by perfbench)
@@ -44,10 +48,12 @@ def enumerate_connected_graphs(n: int) -> list[Graph]:
         found: dict[tuple, Graph] = {}
         new = n - 1
         for parent in enumerate_connected_graphs(n - 1):
+            twins = _twins(parent.rows, range(new))
             for sub in range(1, 1 << new):
-                rows = [r | (sub >> u & 1) << new for u, r in enumerate(parent.rows)]
-                child = Graph._trusted(rows + [sub])
-                found.setdefault(canonical_key(child), child)
+                if all(sub & ab != b for ab, b in twins):
+                    rows = [r | (sub >> u & 1) << new for u, r in enumerate(parent.rows)]
+                    child = Graph._trusted(rows + [sub])
+                    found.setdefault(canonical_key(child), child)
         out = list(found.values())
     _connected_cache[n] = out
     return out
@@ -68,6 +74,37 @@ def _open_vertex(
     )
     cands = bits(opened & ~rows[v] & ~(1 << v))
     return comb(len(cands), deficits[v]), v, cands
+
+
+def _twins(rows: Sequence[int], verts: Iterable[int]) -> list[tuple[int, int]]:
+    """(a | b, b) bits for consecutive a < b in each twin class of verts, keyed
+    by row and by row plus own bit (adjacent twins); no row holds its own bit."""
+    classes: dict[int, list[int]] = {}
+    for u in verts:
+        for key in (rows[u], rows[u] | 1 << u):
+            classes.setdefault(key, []).append(1 << u)
+    return [(a | b, b) for c in classes.values() for a, b in zip(c, c[1:])]
+
+
+def _saturations(rows: Sequence[int], defs: Sequence[int]) -> Iterator[tuple[list, list]]:
+    """(rows, deficits) after joining the open vertex v to each combination of
+    its candidates, in order, but for those the twin rule skips."""
+    _, v, cands = _open_vertex(rows, defs)
+    twins = _twins(rows, cands)
+    for combo in combinations(cands, defs[v]):
+        picked = sum(1 << w for w in combo)
+        if all(picked & ab != b for ab, b in twins):
+            crows, cdefs = list(rows), list(defs)
+            crows[v], cdefs[v] = crows[v] | picked, 0
+            for w in combo:
+                crows[w] |= 1 << v
+                cdefs[w] -= 1
+            yield crows, cdefs
+
+
+def _triangle_key(g: Graph) -> tuple:
+    """Canonical key of g colored by the edge count among each vertex's neighbours."""
+    return canonical_key(g, [sum((g.rows[u] & r).bit_count() for u in bits(r)) // 2 for r in g.rows])
 
 
 def enumerate_connected_regular(n: int, r: int) -> list[Graph]:
@@ -91,20 +128,12 @@ def enumerate_connected_regular(n: int, r: int) -> list[Graph]:
         while frontier:
             nxt: dict[tuple, None] = {}
             for rows, defs in frontier:
-                _, v, cands = _open_vertex(rows, defs)
-                for combo in combinations(cands, defs[v]):
-                    crows = list(rows)
-                    cdefs = list(defs)
-                    cdefs[v] = 0
-                    for w in combo:
-                        crows[v] |= 1 << w
-                        crows[w] |= 1 << v
-                        cdefs[w] -= 1
+                for crows, cdefs in _saturations(rows, defs):
                     child = Graph._trusted(crows)
                     comps = component_masks(child)
                     if not any(cdefs):
                         if len(comps) == 1:
-                            found.setdefault(canonical_key(child), child)
+                            found.setdefault(_triangle_key(child), child)
                         continue
                     # a saturated component can never reconnect, and an open
                     # vertex of width 0 has too few open non-neighbours left

@@ -5,19 +5,24 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from itertools import combinations
 
 import pytest
 
+from specfactor import corpus
 from specfactor.canon import canonical_key
 from specfactor.constructions import complete_graph, cycle
 from specfactor.corpus import (
+    _open_vertex,
     _pair_degrees,
+    _saturations,
+    _triangle_key,
     enumerate_connected_graphs,
     enumerate_connected_regular,
     random_class_member,
     random_regular,
 )
-from specfactor.graph import join, complement
+from specfactor.graph import Graph, complement, component_masks, join
 from specfactor.graph6 import to_graph6
 from specfactor.spectral import eigenvalues
 from specfactor.constructions import empty_graph, matching
@@ -135,6 +140,142 @@ def test_corpora_are_pinned_byte_for_byte(connected_by_n):
     }
     assert connected == CONNECTED_DIGESTS
     assert regular == REGULAR_DIGESTS
+
+
+def _assert_skips_are_sound(every, kept, keys) -> int:
+    """kept is a subsequence of every, and each child it leaves out has the
+    key of an earlier kept child; returns how many were left out."""
+    before: set = set()
+    rest = iter(kept)
+    want = next(rest, None)
+    skipped = 0
+    for child, key in zip(every, keys):
+        if child == want:
+            before.add(key)
+            want = next(rest, None)
+        else:
+            assert key in before, child
+            skipped += 1
+    assert want is None, "kept a child that is not an extension, or out of order"
+    return skipped
+
+
+def test_twin_skips_in_connected_extensions_are_sound(monkeypatch):
+    # record every child the enumerator labels: its last row is the subset
+    # the new vertex joins, the rest (without that vertex) is the parent
+    labeled = []
+
+    def recording(g, colors=None):
+        labeled.append(g.rows)
+        return canonical_key(g, colors)
+
+    monkeypatch.setattr(corpus, "_connected_cache", {})
+    monkeypatch.setattr(corpus, "canonical_key", recording)
+    enumerate_connected_graphs(7)
+    kept: dict[tuple, list[int]] = {}
+    for rows in labeled:
+        new = len(rows) - 1
+        kept.setdefault(tuple(r & ~(1 << new) for r in rows[:-1]), []).append(rows[-1])
+    skipped = 0
+    for n in range(1, 7):
+        for parent in enumerate_connected_graphs(n):
+            subs = range(1, 1 << n)
+            keys = [
+                canonical_key(Graph.from_rows(
+                    [r | (sub >> u & 1) << n for u, r in enumerate(parent.rows)] + [sub]
+                ))
+                for sub in subs
+            ]
+            skipped += _assert_skips_are_sound(subs, kept[parent.rows], keys)
+    assert skipped > 2000
+
+
+def _every_saturation(rows, defs) -> list[tuple[list[int], list[int]]]:
+    """Every child of an enumeration state, none skipped: the reference."""
+    _, v, cands = _open_vertex(rows, defs)
+    out = []
+    for combo in combinations(cands, defs[v]):
+        crows, cdefs = list(rows), list(defs)
+        cdefs[v] = 0
+        for w in combo:
+            crows[v] |= 1 << w
+            crows[w] |= 1 << v
+            cdefs[w] -= 1
+        out.append((crows, cdefs))
+    return out
+
+
+@pytest.mark.parametrize("n,r", [(8, 3), (9, 4), (10, 3)])
+def test_twin_skips_in_regular_states_are_sound(n, r):
+    # walk every frontier state from the unskipped children, so the states
+    # do not depend on the rule under test
+    frontier = {canonical_key(Graph(n), [r] * n)}
+    states = skipped = 0
+    while frontier:
+        nxt = set()
+        for rows, defs in frontier:
+            every = _every_saturation(rows, defs)
+            keys = [canonical_key(Graph.from_rows(c), d) for c, d in every]
+            skipped += _assert_skips_are_sound(every, list(_saturations(rows, defs)), keys)
+            states += 1
+            for (crows, cdefs), key in zip(every, keys):
+                opened = sum(1 << w for w, d in enumerate(cdefs) if d)
+                comps = component_masks(Graph.from_rows(crows))
+                if opened and all(c & opened for c in comps) and _open_vertex(crows, cdefs)[0]:
+                    nxt.add(key)
+        frontier = nxt
+    assert states > 30 and skipped > 50
+
+
+# canonical labelings made while building the corpora of one cold
+# `gen` pass (connected n <= 7, then each regular (n, r) from empty caches);
+# a rise means the twin skipping has weakened or switched off
+LABELINGS = {7: 5299, (9, 4): 496, (10, 3): 524, (10, 4): 2352, (10, 5): 3281, (10, 6): 575}
+
+
+def test_labeling_counts_are_pinned(monkeypatch):
+    calls = [0]
+
+    def counting(g, colors=None):
+        calls[0] += 1
+        return canonical_key(g, colors)
+
+    monkeypatch.setattr(corpus, "_connected_cache", {})
+    monkeypatch.setattr(corpus, "_regular_cache", {})
+    monkeypatch.setattr(corpus, "canonical_key", counting)
+    counts = {}
+    for what in LABELINGS:
+        calls[0] = 0
+        if what == 7:
+            enumerate_connected_graphs(7)
+        else:
+            enumerate_connected_regular(*what)
+        counts[what] = calls[0]
+    assert counts == LABELINGS
+
+
+def test_triangle_key_is_an_isomorphism_invariant():
+    rng = random.Random(2014)
+    for n in range(1, 11):
+        for r in range(0, n, 1 + n % 2):
+            graphs = enumerate_connected_regular(n, r)
+            keys = set()
+            for g in graphs:
+                key = _triangle_key(g)
+                for _ in range(3):
+                    perm = rng.sample(range(n), n)
+                    assert _triangle_key(Graph(n, [(perm[u], perm[v]) for u, v in g.edges()])) == key
+                keys.add(key)
+            assert len(keys) == len(graphs)
+
+
+def test_regular_counts_beyond_the_cap(monkeypatch):
+    # published counts of connected cubic (A002851) and quartic (A006820)
+    # graphs, where twins are common among the states
+    monkeypatch.setattr(corpus, "_MAX_REGULAR_N", 12)
+    monkeypatch.setattr(corpus, "_regular_cache", {})
+    assert len(enumerate_connected_regular(12, 3)) == 85
+    assert len(enumerate_connected_regular(11, 4)) == 265
 
 
 def test_random_regular_basics():
