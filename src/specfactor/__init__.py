@@ -33,7 +33,6 @@ from .spectral import (
     rho1,
     rho2,
 )
-from .matching import matching_number, max_matching
 from .factors import (
     FactorReport,
     deficiency,
@@ -99,8 +98,6 @@ __all__ = [
     "join",
     "k_factor",
     "largest_root",
-    "matching_number",
-    "max_matching",
     "ordering_report",
     "parse_graph6",
     "quotient_matrix",

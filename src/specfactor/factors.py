@@ -41,13 +41,16 @@ def _normalize_spec(g: Graph, spec: Sequence[int]) -> list[int]:
 
 def _gadget(
     g: Graph, caps: Sequence[int]
-) -> tuple[list[tuple[int, int]], list[list[int]], list[list[int]], list[range]]:
-    """The slot gadget: (edges, adj, ends_of, slots_of).
+) -> tuple[list[tuple[int, int]], list[list[int]], list[list[int]], list[range], list[int]]:
+    """The slot gadget: (edges, adj, ends_of, slots_of, start).
 
     Edge i becomes nodes 2i, 2i+1 (joined); ends_of[v] lists the edge nodes
     on v's side.  Vertex v then gets min(caps[v], d(v)) slot nodes,
     slots_of[v], each joined to all of ends_of[v], so v's slot nodes are
-    twins.
+    twins.  start is a matching of the gadget from a greedy bounded
+    subgraph: an edge whose ends both have a free slot takes one slot at
+    each end, any other edge matches its two nodes, so only the slots that
+    greedy leaves free are exposed.
     """
     edges = g.edges()
     ends_of: list[list[int]] = [[] for _ in range(g.n)]
@@ -63,7 +66,15 @@ def _gadget(
                 adj[e_node].append(len(adj))
             adj.append(list(ends_of[v]))
         slots_of.append(range(first, len(adj)))
-    return edges, adj, ends_of, slots_of
+    start = [node ^ 1 if node < 2 * len(edges) else -1 for node in range(len(adj))]
+    taken = [0] * g.n
+    for i, (u, v) in enumerate(edges):
+        if taken[u] < len(slots_of[u]) and taken[v] < len(slots_of[v]):
+            for node, w in ((2 * i, u), (2 * i + 1, v)):
+                start[node] = slots_of[w][taken[w]]
+                start[start[node]] = node
+                taken[w] += 1
+    return edges, adj, ends_of, slots_of, start
 
 
 def _bounded_subgraph(g: Graph, caps: Sequence[int]) -> list[tuple[int, int]]:
@@ -73,8 +84,8 @@ def _bounded_subgraph(g: Graph, caps: Sequence[int]) -> list[tuple[int, int]]:
     so the edges whose nodes are both matched to slots form the maximum
     bounded subgraph and nu = |matching| - e(g).
     """
-    edges, adj, _, _ = _gadget(g, caps)
-    match = _max_matching_adj(len(adj), adj)
+    edges, adj, _, _, start = _gadget(g, caps)
+    match = _max_matching_adj(len(adj), adj, start)
     picked = []
     for i, (u, v) in enumerate(edges):
         a, b = 2 * i, 2 * i + 1
@@ -152,8 +163,8 @@ def is_k_critical(g: Graph, k: int) -> bool:
         return False
     if min(g.degrees()) < k:
         return g.n == 1 and k == 1
-    _, adj, ends_of, slots_of = _gadget(g, [k] * g.n)
-    match = _max_matching_adj(len(adj), adj)
+    _, adj, ends_of, slots_of, start = _gadget(g, [k] * g.n)
+    match = _max_matching_adj(len(adj), adj, start)
     if match.count(-1) != 1:
         return False
     missable = _missable(adj, match)

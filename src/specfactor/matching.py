@@ -1,8 +1,13 @@
-"""Maximum matching in general graphs (blossom contraction)."""
+"""Maximum matching in general graphs (blossom contraction).
+
+The search starts from a matching the caller supplies; the factor gadget
+passes one built from a greedy bounded subgraph, so only the slots that
+greedy left open need an augmenting search.  Each contracted base keeps
+its member list, so a contraction relabels only the nodes of the bases it
+absorbs: time proportional to the blossom, not to the graph.
+"""
 
 from __future__ import annotations
-
-from .graph import Graph
 
 
 def _blossom_search(adj: list[list[int]], match: list[int]):
@@ -15,38 +20,40 @@ def _blossom_search(adj: list[list[int]], match: list[int]):
     reached from root by an even alternating path.
     """
     n = len(adj)
-    p = [0] * n
-    base = [0] * n
+    p = [-1] * n
+    base = list(range(n))
     used = [False] * n
-    blossom = [False] * n
+    unset, unused, own = list(p), list(used), list(base)
+    # members[b]: every node whose base is b, for the bases contracted this search
+    members: dict[int, list[int]] = {}
 
     def lca(a: int, b: int) -> int:
-        visited = [False] * n
+        seen = set()
         while True:
             a = base[a]
-            visited[a] = True
+            seen.add(a)
             if match[a] == -1:
                 break
             a = p[match[a]]
         while True:
             b = base[b]
-            if visited[b]:
+            if b in seen:
                 return b
             b = p[match[b]]
 
-    def mark_path(v: int, b: int, child: int) -> None:
+    def mark_path(v: int, b: int, child: int, marked: set[int]) -> None:
         while base[v] != b:
-            blossom[base[v]] = True
-            blossom[base[match[v]]] = True
+            marked.add(base[v])
+            marked.add(base[match[v]])
             p[v] = child
             child = match[v]
             v = p[match[v]]
 
     def find_path(root: int) -> int:
-        for i in range(n):
-            used[i] = False
-            p[i] = -1
-            base[i] = i
+        p[:] = unset
+        used[:] = unused
+        base[:] = own
+        members.clear()
         used[root] = True
         q = [root]
         head = 0
@@ -59,13 +66,17 @@ def _blossom_search(adj: list[list[int]], match: list[int]):
                 if to == root or (match[to] != -1 and p[match[to]] != -1):
                     # odd cycle: contract the blossom around the common base
                     cur = lca(v, to)
-                    for i in range(n):
-                        blossom[i] = False
-                    mark_path(v, cur, to)
-                    mark_path(to, cur, v)
-                    for i in range(n):
-                        if blossom[base[i]]:
+                    marked: set[int] = set()
+                    mark_path(v, cur, to, marked)
+                    mark_path(to, cur, v, marked)
+                    # no consistent search marks cur; skipping it keeps a
+                    # broken one from reading grown while it grows
+                    marked.discard(cur)
+                    grown = members.setdefault(cur, [cur])
+                    for b in marked:
+                        for i in members.pop(b, (b,)):
                             base[i] = cur
+                            grown.append(i)
                             if not used[i]:
                                 used[i] = True
                                 q.append(i)
@@ -80,18 +91,12 @@ def _blossom_search(adj: list[list[int]], match: list[int]):
     return find_path, p, used
 
 
-def _max_matching_adj(n: int, adj: list[list[int]]) -> list[int]:
-    """Array-based blossom search; returns match[] with -1 for exposed vertices."""
-    match = [-1] * n
-    # greedy seed cuts the number of augmenting searches roughly in half
-    for v in range(n):
-        if match[v] == -1:
-            for u in adj[v]:
-                if match[u] == -1:
-                    match[v] = u
-                    match[u] = v
-                    break
+def _max_matching_adj(n: int, adj: list[list[int]], match: list[int]) -> list[int]:
+    """Grow the matching `match` (updated in place) to a maximum one.
 
+    match[v] is v's partner or -1; at most one search runs per node the
+    start leaves exposed.  Returns match.
+    """
     find_path, p, _ = _blossom_search(adj, match)
     for v in range(n):
         if match[v] != -1:
@@ -123,16 +128,3 @@ def _missable(adj: list[list[int]], match: list[int]) -> list[bool]:
             raise RuntimeError("matching not maximum")
         missable = [m or u for m, u in zip(missable, used)]
     return missable
-
-
-def max_matching(g: Graph) -> list[tuple[int, int]]:
-    """Edges of a maximum matching, each pair sorted, list sorted."""
-    adj = [list(g.neighbors(v)) for v in range(g.n)]
-    match = _max_matching_adj(g.n, adj)
-    out = [(v, match[v]) for v in range(g.n) if match[v] > v]
-    out.sort()
-    return out
-
-
-def matching_number(g: Graph) -> int:
-    return len(max_matching(g))

@@ -6,8 +6,9 @@ per pair, so the optimized sweep in the package is checked against an
 implementation that shares no code with it.  The cyclic Jacobi solver here
 is the reference for the package's eigvalsh spectra, the full-signature
 canonical labeling is the reference for the package's splitter refinement,
-and the per-vertex near-factor loop is the reference for the package's
-one-matching k-criticality rule.
+the per-vertex near-factor loop is the reference for the package's
+one-matching k-criticality rule, and the full-scan blossom search from a
+plain greedy start is the reference for the package's matching engine.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import pytest
 from specfactor.corpus import enumerate_connected_graphs, enumerate_connected_regular
 from specfactor.factors import has_f_factor, k_factor
 from specfactor.graph import Graph, bits, component_masks
+from specfactor.matching import _max_matching_adj
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:
@@ -187,6 +189,125 @@ def reference_f_factor(g: Graph, f) -> tuple[bool, int]:
     fits = np.all(degs <= np.asarray(f), axis=1)
     defect = sum(f) - 2 * int(sizes[fits].max())
     return defect == 0, defect
+
+
+def max_matching(g: Graph) -> list[tuple[int, int]]:
+    """Edges of a maximum matching of g, each pair sorted, list sorted."""
+    adj = [list(g.neighbors(v)) for v in range(g.n)]
+    match = _max_matching_adj(g.n, adj, [-1] * g.n)
+    return sorted((v, match[v]) for v in range(g.n) if match[v] > v)
+
+
+def matching_number(g: Graph) -> int:
+    return len(max_matching(g))
+
+
+def _reference_blossom_search(adj: list[list[int]], match: list[int]):
+    """The blossom search with a full scan of all nodes per contraction.
+
+    Returns (find_path, p, used) like matching._blossom_search.
+    """
+    n = len(adj)
+    p = [0] * n
+    base = [0] * n
+    used = [False] * n
+    blossom = [False] * n
+
+    def lca(a: int, b: int) -> int:
+        visited = [False] * n
+        while True:
+            a = base[a]
+            visited[a] = True
+            if match[a] == -1:
+                break
+            a = p[match[a]]
+        while True:
+            b = base[b]
+            if visited[b]:
+                return b
+            b = p[match[b]]
+
+    def mark_path(v: int, b: int, child: int) -> None:
+        while base[v] != b:
+            blossom[base[v]] = True
+            blossom[base[match[v]]] = True
+            p[v] = child
+            child = match[v]
+            v = p[match[v]]
+
+    def find_path(root: int) -> int:
+        for i in range(n):
+            used[i] = False
+            p[i] = -1
+            base[i] = i
+        used[root] = True
+        q = [root]
+        head = 0
+        while head < len(q):
+            v = q[head]
+            head += 1
+            for to in adj[v]:
+                if base[v] == base[to] or match[v] == to:
+                    continue
+                if to == root or (match[to] != -1 and p[match[to]] != -1):
+                    cur = lca(v, to)
+                    for i in range(n):
+                        blossom[i] = False
+                    mark_path(v, cur, to)
+                    mark_path(to, cur, v)
+                    for i in range(n):
+                        if blossom[base[i]]:
+                            base[i] = cur
+                            if not used[i]:
+                                used[i] = True
+                                q.append(i)
+                elif p[to] == -1:
+                    p[to] = v
+                    if match[to] == -1:
+                        return to
+                    used[match[to]] = True
+                    q.append(match[to])
+        return -1
+
+    return find_path, p, used
+
+
+def greedy_matching(adj: list[list[int]]) -> list[int]:
+    """match[]: each node in turn takes its first free neighbour."""
+    match = [-1] * len(adj)
+    for v, nbrs in enumerate(adj):
+        for u in nbrs:
+            if match[v] == -1 and match[u] == -1:
+                match[v], match[u] = u, v
+    return match
+
+
+def reference_max_matching(adj: list[list[int]]) -> list[int]:
+    """match[] of a maximum matching: the greedy start, then the full-scan
+    search per exposed node."""
+    match = greedy_matching(adj)
+    find_path, p, _ = _reference_blossom_search(adj, match)
+    for v in range(len(adj)):
+        if match[v] == -1:
+            u = find_path(v)
+            while u != -1:
+                pv = p[u]
+                ppv = match[pv]
+                match[u], match[pv] = pv, u
+                u = ppv
+    return match
+
+
+def reference_missable(adj: list[list[int]], match: list[int]) -> list[bool]:
+    """Nodes some maximum matching leaves exposed, by the full-scan search."""
+    find_path, _, used = _reference_blossom_search(adj, match)
+    missable = [False] * len(adj)
+    for root, mate in enumerate(match):
+        if mate == -1:
+            if find_path(root) != -1:
+                raise RuntimeError("matching not maximum")
+            missable = [m or u for m, u in zip(missable, used)]
+    return missable
 
 
 def reference_is_k_critical(g: Graph, k: int) -> bool:

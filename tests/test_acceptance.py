@@ -29,7 +29,6 @@ from specfactor.corpus import enumerate_connected_regular, random_class_member
 from specfactor.factors import deficiency as engine_deficiency
 from specfactor.factors import k_factor
 from specfactor.graph import Graph, connected_components, induced_subgraph
-from specfactor.matching import matching_number
 from specfactor.oracle import brute_force_deficiency_multi, delta
 from specfactor.spectral import (
     cubic_family,

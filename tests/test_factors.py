@@ -258,9 +258,9 @@ def test_criticality_agrees_with_reference_on_random_regular(n, r):
 def test_criticality_runs_one_matching(monkeypatch):
     calls = []
 
-    def counting(n, adj):
+    def counting(n, adj, start):
         calls.append(n)
-        return matching._max_matching_adj(n, adj)
+        return matching._max_matching_adj(n, adj, start)
 
     monkeypatch.setattr(factors, "_max_matching_adj", counting)
     # odd k*n and minimum degree >= k: one matching per query
@@ -274,6 +274,53 @@ def test_criticality_runs_one_matching(monkeypatch):
         calls.clear()
         is_k_critical(g, k)
         assert calls == [], (g.edges(), k)
+
+
+def test_augmenting_searches_are_pinned(monkeypatch):
+    # the greedy start leaves few slots exposed; pairing every edge's two
+    # nodes instead leaves every slot exposed and runs 341 and 187 here
+    searches = []
+    search = matching._blossom_search
+
+    def counting(adj, match):
+        find_path, p, used = search(adj, match)
+
+        def counted(root):
+            searches.append(root)
+            return find_path(root)
+
+        return counted, p, used
+
+    monkeypatch.setattr(matching, "_blossom_search", counting)
+    for n in range(20, 42):
+        k_factor(random_regular(n, 4, 0), 1)
+    assert len(searches) == 46
+    searches.clear()
+    for n in range(21, 42, 2):
+        is_k_critical(random_regular(n, 4, 0), 1)
+    assert len(searches) == 38
+
+
+def test_gadget_start_is_a_greedy_bounded_subgraph():
+    rng = random.Random(29)
+    for _ in range(300):
+        g = random_graph(rng.randrange(0, 14), rng.random(), rng)
+        caps = [rng.randrange(0, 5) for _ in range(g.n)]
+        edges, adj, _, slots_of, start = factors._gadget(g, caps)
+        assert all(start[start[v]] == v and start[v] in adj[v] for v in range(len(adj)) if start[v] != -1)
+        taken = [0] * g.n
+        for i, (u, v) in enumerate(edges):
+            assert start[2 * i] != -1 and start[2 * i + 1] != -1
+            taken[u] += start[2 * i] != 2 * i + 1
+            taken[v] += start[2 * i + 1] != 2 * i
+        # exposed: exactly the slots greedy left free, and no edge it skipped
+        # joins two vertices that both still have one
+        for v in range(g.n):
+            assert [start[s] for s in slots_of[v]].count(-1) == len(slots_of[v]) - taken[v]
+        free = [taken[v] < len(slots_of[v]) for v in range(g.n)]
+        assert not any(free[u] and free[v] and start[2 * i] == 2 * i + 1
+                       for i, (u, v) in enumerate(edges))
+        assert start.count(-1) == sum(len(s) for s in slots_of) - sum(taken)
 
 
 def test_critical_graphs_have_deficiency_one():

@@ -1,8 +1,10 @@
-"""Maximum matching in general graphs, checked against exhaustive references."""
+"""Maximum matching in general graphs, checked against exhaustive references
+and against the full-scan blossom search kept in conftest."""
 
 from __future__ import annotations
 
 import random
+import signal
 from itertools import combinations
 
 import pytest
@@ -19,11 +21,19 @@ from specfactor.constructions import (
     star,
 )
 from specfactor import factors
+from specfactor.corpus import random_regular
 from specfactor.graph import Graph, induced_subgraph, join
-from specfactor.matching import _max_matching_adj, _missable, matching_number, max_matching
+from specfactor.matching import _max_matching_adj, _missable
 from specfactor.oracle import brute_force_deficiency
 
-from conftest import random_graph
+from conftest import (
+    greedy_matching,
+    matching_number,
+    max_matching,
+    random_graph,
+    reference_max_matching,
+    reference_missable,
+)
 
 
 def exhaustive_matching_number(g: Graph) -> int:
@@ -105,7 +115,7 @@ def test_augmenting_through_blossoms():
 def _check_missable(n: int, adj: list[list[int]]) -> int:
     """Assert missable[v] iff nu(G - v) = nu(G); return the missable count."""
     g = Graph(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
-    missable = _missable(adj, _max_matching_adj(n, adj))
+    missable = _missable(adj, _max_matching_adj(n, adj, [-1] * n))
     nu = matching_number(g)
     for v in range(n):
         rest = induced_subgraph(g, [u for u in range(n) if u != v])
@@ -128,7 +138,7 @@ def test_missable_on_factor_gadgets():
     for _ in range(150):
         g = random_graph(rng.randrange(1, 7), rng.random(), rng)
         caps = [rng.randrange(0, 4) for _ in range(g.n)]
-        _, adj, _, _ = factors._gadget(g, caps)
+        _, adj, _, _, _ = factors._gadget(g, caps)
         _check_missable(len(adj), adj)
 
 
@@ -139,3 +149,70 @@ def test_missable_refuses_a_matching_that_is_not_maximum():
         _missable(adj, [-1, 2, 1, -1])
     with pytest.raises(RuntimeError, match="not maximum"):
         _missable([[1], [0]], [-1, -1])
+
+
+@pytest.fixture
+def watchdog():
+    """Fail, rather than hang, when the search loops forever: a stale blossom
+    base can send lca round a cycle.  The checks take about a second."""
+
+    def stop(signum, frame):
+        raise AssertionError("the matching search did not finish in 60 s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _assert_agrees_with_reference(adj: list[list[int]], starts) -> tuple[list[int], list[bool]]:
+    """Same exposed count and missable marks as the full-scan search, from
+    every start; returns the reference's (match, missable)."""
+    ref = reference_max_matching(adj)
+    ref_missable = reference_missable(adj, ref)
+    for start in starts:
+        got = _max_matching_adj(len(adj), adj, list(start))
+        assert got.count(-1) == ref.count(-1)
+        assert all(got[got[v]] == v and got[v] in adj[v] for v in range(len(adj)) if got[v] != -1)
+        assert _missable(adj, got) == ref_missable
+    return ref, ref_missable
+
+
+@pytest.mark.usefixtures("watchdog")
+def test_engine_agrees_with_full_scan_reference_on_slot_gadgets():
+    rng = random.Random(41)
+    sizes = []
+    for _ in range(300):
+        n = rng.randrange(20, 71)
+        g = random_graph(n, rng.uniform(0.5, 3.0) / n, rng)
+        caps = [rng.randrange(0, 5) for _ in range(n)]
+        _, adj, _, _, start = factors._gadget(g, caps)
+        _assert_agrees_with_reference(adj, [start, [-1] * len(adj)])
+        sizes.append(len(adj))
+    assert max(sizes) > 250
+
+
+@pytest.mark.usefixtures("watchdog")
+def test_engine_agrees_with_full_scan_reference_on_plain_graphs():
+    rng = random.Random(43)
+    for _ in range(300):
+        n = rng.randrange(1, 60)
+        g = random_graph(n, rng.uniform(0.5, 4.0) / n, rng)
+        adj = [list(g.neighbors(v)) for v in range(n)]
+        _assert_agrees_with_reference(adj, [greedy_matching(adj), [-1] * n])
+
+
+@pytest.mark.usefixtures("watchdog")
+@pytest.mark.parametrize("n,r,k", [(158, 12, 5), (101, 10, 3)])
+def test_engine_agrees_with_full_scan_reference_at_witness_scale(n, r, k):
+    g = random_regular(n, r, 1)
+    _, adj, ends_of, slots_of, start = factors._gadget(g, [k] * n)
+    ref, missable = _assert_agrees_with_reference(adj, [start])
+    # the bounded subgraph has |matching| - e(g) edges
+    nu = (len(adj) - ref.count(-1)) // 2 - len(g.edges())
+    assert factors.k_factor(g, k).deficiency == k * n - 2 * nu
+    critical = (k * n) % 2 == 1 and ref.count(-1) == 1 and all(
+        missable[slots_of[x][0]] or any(missable[e] for e in ends_of[x]) for x in range(n)
+    )
+    assert factors.is_k_critical(g, k) == critical
