@@ -159,6 +159,8 @@ def random_regular(n: int, r: int, seed: int) -> Graph:
         raise ValueError("need 0 <= r < n")
     if (n * r) % 2 != 0:
         raise ValueError("n*r must be even")
+    if r < 2 and n > r + 1:
+        raise ValueError(f"no connected {r}-regular graph on {n} vertices exists")
     rng = random.Random(seed)
     dense = 2 * r >= n
     g = _pair_degrees([n - 1 - r if dense else r] * n, rng, _TRIES, connected=not dense)
@@ -179,11 +181,14 @@ def _pair_degrees(
     stubs = [v for v in range(n) for _ in range(degrees[v])]
     rand = rng.random
     for _ in range(tries):
+        # the unpaired stubs are free[:size]; a taken pair's places are
+        # filled from its end, higher index first, which fixes the stub
+        # order and so which stubs later draws pick
         free = stubs[:]
+        size = len(free)
         rows = [0] * n
         misses = 0
-        while free:
-            size = len(free)
+        while size:
             i = int(rand() * size)
             j = int(rand() * (size - 1))
             j += j >= i
@@ -205,11 +210,13 @@ def _pair_degrees(
             misses = 0
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-            for k in (max(i, j), min(i, j)):
-                free[k] = free[-1]
-                free.pop()
+            if i < j:
+                i, j = j, i
+            size -= 2
+            free[i] = free[size + 1]
+            free[j] = free[size]
         else:
-            g = Graph.from_rows(rows)
+            g = Graph._trusted(rows)
             if not connected or g.is_connected():
                 return g
     return None
@@ -255,7 +262,8 @@ def random_class_member(r: int, m: int, parity: str, seed: int) -> Graph:
         g = _pair_degrees(degrees, rng, 50)
         if g is None:
             continue
-        if g.max_degree() != r or g.is_regular():
+        degs = g.degrees()
+        if max(degs) != r or min(degs) == r:
             raise RuntimeError("sampled class member has the wrong degrees")
         return g
     raise RuntimeError("pairing budget exhausted generating a class member")

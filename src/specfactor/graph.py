@@ -117,9 +117,7 @@ class Graph:
         return len(set(degs)) <= 1
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        return len(connected_components(self)) == 1
+        return self.n <= 1 or len(component_masks(self)) == 1
 
     # -- dunder ------------------------------------------------------------
 

@@ -25,7 +25,7 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 
 
 def _descending(sym: np.ndarray) -> list[float]:
-    return [float(x) for x in np.linalg.eigvalsh(sym)[::-1]]
+    return np.linalg.eigvalsh(sym)[::-1].tolist()
 
 
 def eigenvalues(g: Graph) -> list[float]:

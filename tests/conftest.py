@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+import signal
 
 import numpy as np
 import pytest
@@ -85,6 +86,26 @@ def naive_deficiency(g: Graph, k: int) -> int:
                 t.append(v)
         worst = min(worst, naive_delta(g, k, tuple(s), tuple(t)))
     return -worst
+
+
+# seconds any one test may run; the slowest, criterion 04, takes about 20
+TEST_TIME_LIMIT = 300
+
+
+@pytest.fixture(autouse=True)
+def time_limit(request):
+    """Fail a test that runs past TEST_TIME_LIMIT instead of hanging the
+    suite.  A fixture that arms its own, shorter alarm (the matching
+    watchdog) replaces this one for the test and restores it after."""
+
+    def stop(signum, frame):
+        pytest.fail(f"{request.node.nodeid} did not finish in {TEST_TIME_LIMIT} s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(TEST_TIME_LIMIT)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

@@ -190,6 +190,13 @@ def test_empty_stdin_is_a_usage_error(capsys, monkeypatch):
     assert "usage error" in err.err
 
 
+def test_random_regular_without_a_connected_answer_is_an_error_envelope(capsys):
+    code, env, _ = run_cli(capsys, "gen", "random-regular", "--n", "6", "--r", "1")
+    assert code == 1
+    assert env["status"] == "error"
+    assert env["payload"]["error"] == "no connected 1-regular graph on 6 vertices exists"
+
+
 def test_malformed_graph6_is_an_error_envelope(capsys):
     code, env, err = run_cli(capsys, "spectrum", "D~")
     assert code == 1

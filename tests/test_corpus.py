@@ -313,6 +313,63 @@ def test_random_regular_dense_degrees_pair_the_complement():
     assert to_graph6(random_regular(21, 10, seed=7)) == r"TQ\FGyacbZzei{x{AkgxFoSNMKla[x`tp~OH"
 
 
+def test_random_regular_refuses_degrees_with_no_connected_graph():
+    # r = 0 or 1 leaves more than one component once n > r + 1
+    for n, r in ((2, 0), (40, 0), (4, 1), (40, 1)):
+        with pytest.raises(ValueError, match=f"no connected {r}-regular graph on {n} vertices"):
+            random_regular(n, r, seed=0)
+    assert random_regular(1, 0, seed=0) == Graph(1, [])
+    assert random_regular(2, 1, seed=0) == complete_graph(2)
+
+
+# sha256 of the graph6 lines of every draw below, computed before the
+# pairing loop was rewritten: the kernel must make the same random() calls
+# and pick the same stubs.  Both grids reach the pairing's many-misses
+# fallback with either outcome: random_class_member(3, 1, "odd", 175) finds
+# a valid pair there, random_regular(10, 3, 9) finds none and restarts.
+CLASS_MEMBER_DIGEST = "d51b2be60a0ec62248acea56782d53147451893dfac78e0a1a19c8198b0866c0"
+RANDOM_REGULAR_DIGEST = "43d05bb4d2c6029299daefebc33b0fac085c531174a8c48f294c253a1942baf3"
+
+
+def _accepted_classes():
+    for r in range(3, 7):
+        for parity in ("even", "odd"):
+            for m in range(1, r + 2):
+                try:
+                    random_class_member(r, m, parity, seed=0)
+                except ValueError:
+                    continue
+                yield r, m, parity
+
+
+def _assert_valid_rows(graphs):
+    # the kernel wraps its rows unchecked; re-validate every draw
+    for g in graphs:
+        assert Graph.from_rows(g.rows) == g
+
+
+def test_random_class_member_draws_are_pinned():
+    classes = list(_accepted_classes())
+    assert len(classes) == 18
+    graphs = [
+        random_class_member(r, m, parity, seed=seed)
+        for r, m, parity in classes
+        for seed in range(200)
+    ]
+    _assert_valid_rows(graphs)
+    assert _graph6_digest(graphs) == CLASS_MEMBER_DIGEST
+
+
+def test_random_regular_draws_are_pinned():
+    graphs = [
+        random_regular(n, r, seed=seed)
+        for n, r in ((10, 3), (12, 5), (16, 6), (30, 4), (21, 10))
+        for seed in range(50)
+    ]
+    _assert_valid_rows(graphs)
+    assert _graph6_digest(graphs) == RANDOM_REGULAR_DIGEST
+
+
 def test_pair_degrees_gives_up_on_impossible_sequences():
     rng = random.Random(0)
     assert _pair_degrees([4, 4, 4, 4, 2], rng, 20) is None  # not graphical
