@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 from .graph import (
     Graph,
     complement,
-    connected_components,
     disjoint_union,
     induced_subgraph,
     join,
@@ -83,7 +82,6 @@ __all__ = [
     "check_lemma_3_1",
     "classify_hypothesis",
     "complement",
-    "connected_components",
     "cubic_family",
     "deficiency",
     "delta",

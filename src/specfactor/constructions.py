@@ -17,10 +17,6 @@ def complete_graph(n: int) -> Graph:
     return complement(Graph(n))
 
 
-def empty_graph(n: int) -> Graph:
-    return Graph(n)
-
-
 def path(n: int) -> Graph:
     """Path 0-1-...-(n-1)."""
     if n < 1:

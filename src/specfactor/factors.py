@@ -6,10 +6,10 @@ maximum matching yields a maximum subgraph with deg(v) <= f(v), of size nu;
 def = sum(f) - 2*nu, and at def = 0 that subgraph is an f-factor.
 
 k-criticality answers all 2n near-factor queries (f = k but k +- 1 at one
-vertex) from one matching of the k-gadget and one Gallai-Edmonds pass over
-it; `is_k_critical` gives the rule and why it is exact (a vertex's slot
-nodes are twins, and with f <= d an f-factor is a perfect matching of the
-f-gadget).
+vertex) from one matching of the k-gadget and the missable nodes that the
+same pass returns; `is_k_critical` gives the rule and why it is exact (a
+vertex's slot nodes are twins, and with f <= d an f-factor is a perfect
+matching of the f-gadget).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .graph import Graph
-from .matching import _max_matching_adj, _missable
+from .matching import _max_matching_adj
 
 
 @dataclass(frozen=True)
@@ -84,8 +84,8 @@ def _bounded_subgraph(g: Graph, caps: Sequence[int]) -> list[tuple[int, int]]:
     so the edges whose nodes are both matched to slots form the maximum
     bounded subgraph and nu = |matching| - e(g).
     """
-    edges, adj, _, _, start = _gadget(g, caps)
-    match = _max_matching_adj(len(adj), adj, start)
+    edges, adj, _, _, match = _gadget(g, caps)
+    _max_matching_adj(len(adj), adj, match)
     picked = []
     for i, (u, v) in enumerate(edges):
         a, b = 2 * i, 2 * i + 1
@@ -163,12 +163,11 @@ def is_k_critical(g: Graph, k: int) -> bool:
         return False
     if min(g.degrees()) < k:
         return g.n == 1 and k == 1
-    _, adj, ends_of, slots_of, start = _gadget(g, [k] * g.n)
-    match = _max_matching_adj(len(adj), adj, start)
+    _, adj, ends_of, slots_of, match = _gadget(g, [k] * g.n)
+    missable = set(_max_matching_adj(len(adj), adj, match))
     if match.count(-1) != 1:
         return False
-    missable = _missable(adj, match)
     return all(
-        missable[slots_of[x][0]] or any(missable[e] for e in ends_of[x])
+        slots_of[x][0] in missable or any(e in missable for e in ends_of[x])
         for x in range(g.n)
     )

@@ -200,7 +200,3 @@ def component_masks(g: Graph, present: int | None = None) -> list[int]:
         rem &= ~comp
     return comps
 
-
-def connected_components(g: Graph) -> list[list[int]]:
-    """Vertex lists of the components, each sorted, ordered by smallest member."""
-    return [list(bits(m)) for m in component_masks(g)]

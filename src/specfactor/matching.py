@@ -4,7 +4,9 @@ The search starts from a matching the caller supplies; the factor gadget
 passes one built from a greedy bounded subgraph, so only the slots that
 greedy left open need an augmenting search.  Each contracted base keeps
 its member list, so a contraction relabels only the nodes of the bases it
-absorbs: time proportional to the blossom, not to the graph.
+absorbs: time proportional to the blossom, not to the graph.  The same
+pass returns the Gallai-Edmonds set D (the nodes some maximum matching
+leaves exposed), read off the trees of the searches that fail.
 """
 
 from __future__ import annotations
@@ -13,11 +15,11 @@ from __future__ import annotations
 def _blossom_search(adj: list[list[int]], match: list[int]):
     """Edmonds' alternating-forest search over `match`, updated in place.
 
-    Returns (find_path, p, used).  find_path(root) grows a tree from the
+    Returns (find_path, p, even).  find_path(root) grows a tree from the
     exposed node `root`, contracting blossoms, and returns the exposed end of
     an augmenting path (walk back through p and match to flip it) or -1.
-    After a failed search, used[] marks the tree's even nodes: exactly those
-    reached from root by an even alternating path.
+    even is the search's queue: after a failed search it lists the tree's
+    even nodes, exactly those reached from root by an even alternating path.
     """
     n = len(adj)
     p = [-1] * n
@@ -26,6 +28,7 @@ def _blossom_search(adj: list[list[int]], match: list[int]):
     unset, unused, own = list(p), list(used), list(base)
     # members[b]: every node whose base is b, for the bases contracted this search
     members: dict[int, list[int]] = {}
+    q: list[int] = []
 
     def lca(a: int, b: int) -> int:
         seen = set()
@@ -55,7 +58,7 @@ def _blossom_search(adj: list[list[int]], match: list[int]):
         base[:] = own
         members.clear()
         used[root] = True
-        q = [root]
+        q[:] = [root]
         head = 0
         while head < len(q):
             v = q[head]
@@ -88,43 +91,32 @@ def _blossom_search(adj: list[list[int]], match: list[int]):
                     q.append(match[to])
         return -1
 
-    return find_path, p, used
+    return find_path, p, q
 
 
 def _max_matching_adj(n: int, adj: list[list[int]], match: list[int]) -> list[int]:
     """Grow the matching `match` (updated in place) to a maximum one.
 
     match[v] is v's partner or -1; at most one search runs per node the
-    start leaves exposed.  Returns match.
+    start leaves exposed.  Returns the missable nodes, those some maximum
+    matching leaves exposed (the Gallai-Edmonds set D): the even nodes of
+    every failed search's tree, some of them listed more than once.  A
+    failed search leaves a Hungarian tree that no later augmenting path
+    enters, so its marks hold for the final matching (Edmonds, "Paths,
+    trees, and flowers", 1965).
     """
-    find_path, p, _ = _blossom_search(adj, match)
+    find_path, p, even = _blossom_search(adj, match)
+    missable: list[int] = []
     for v in range(n):
         if match[v] != -1:
             continue
         u = find_path(v)
+        if u == -1:
+            missable += even
         while u != -1:
             pv = p[u]
             ppv = match[pv]
             match[u] = pv
             match[pv] = u
             u = ppv
-    return match
-
-
-def _missable(adj: list[list[int]], match: list[int]) -> list[bool]:
-    """missable[v]: some maximum matching leaves node v exposed.
-
-    These are the nodes reached by an even alternating path from a node
-    that `match` leaves exposed (the Gallai-Edmonds set D), marked by one
-    failed search per exposed node.  `match` must be a maximum matching of
-    adj; an augmenting path found on the way raises RuntimeError.
-    """
-    find_path, _, used = _blossom_search(adj, match)
-    missable = [False] * len(adj)
-    for root, mate in enumerate(match):
-        if mate != -1:
-            continue
-        if find_path(root) != -1:
-            raise RuntimeError("matching not maximum")
-        missable = [m or u for m, u in zip(missable, used)]
     return missable

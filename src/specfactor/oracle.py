@@ -57,6 +57,8 @@ def _mask_of(g: Graph, vertices: Iterable[int], label: str) -> int:
     for v in vertices:
         if not 0 <= v < g.n:
             raise ValueError(f"{label} contains vertex {v}, out of range")
+        if m >> v & 1:
+            raise ValueError(f"{label} lists vertex {v} more than once")
         m |= 1 << v
     return m
 

@@ -28,10 +28,15 @@ def _descending(sym: np.ndarray) -> list[float]:
     return np.linalg.eigvalsh(sym)[::-1].tolist()
 
 
+def _check_order(n: int) -> None:
+    """Refuse an order above MAX_ORDER, so callers can refuse before building."""
+    if n > MAX_ORDER:
+        raise ValueError(f"eigenvalues: {n} vertices exceeds the cap of {MAX_ORDER}")
+
+
 def eigenvalues(g: Graph) -> list[float]:
     """Adjacency eigenvalues in descending order (at most 2048 vertices)."""
-    if g.n > MAX_ORDER:
-        raise ValueError(f"eigenvalues: {g.n} vertices exceeds the cap of {MAX_ORDER}")
+    _check_order(g.n)
     return _descending(adjacency_matrix(g))
 
 

@@ -28,6 +28,7 @@ from .graph import Graph, bits, component_masks, induced_subgraph
 from .graph6 import to_graph6
 from .oracle import STPair
 from .spectral import (
+    _check_order,
     cubic_family,
     eigenvalues,
     largest_root,
@@ -159,12 +160,14 @@ def _minimality_campaign(
 def verify_thm_2_1(r: int, m: int, samples: int, seed: int = 0) -> CampaignReport:
     """Even family: extremal construction attains rho1(r,m); samples never dip below."""
     threshold = rho1(r, m)
+    _check_order(r + 1)  # the extremal graph's order, refused before it is built
     return _minimality_campaign(threshold, extremal_even(r, m), "even", r, m, samples, seed)
 
 
 def verify_thm_2_2(r: int, m: int, samples: int, seed: int = 0) -> CampaignReport:
     """Odd family: construction for the given m against rho2(r,m), plus samples."""
     threshold = rho2(r, m)
+    _check_order(r + 2)
     if m == 1:
         g = extremal_odd_m1(r)
     elif m == 2:

@@ -215,7 +215,8 @@ def reference_f_factor(g: Graph, f) -> tuple[bool, int]:
 def max_matching(g: Graph) -> list[tuple[int, int]]:
     """Edges of a maximum matching of g, each pair sorted, list sorted."""
     adj = [list(g.neighbors(v)) for v in range(g.n)]
-    match = _max_matching_adj(g.n, adj, [-1] * g.n)
+    match = [-1] * g.n
+    _max_matching_adj(g.n, adj, match)
     return sorted((v, match[v]) for v in range(g.n) if match[v] > v)
 
 

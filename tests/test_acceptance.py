@@ -28,7 +28,7 @@ from specfactor.constructions import (
 from specfactor.corpus import enumerate_connected_regular, random_class_member
 from specfactor.factors import deficiency as engine_deficiency
 from specfactor.factors import k_factor
-from specfactor.graph import Graph, connected_components, induced_subgraph
+from specfactor.graph import Graph, bits, component_masks, induced_subgraph
 from specfactor.oracle import brute_force_deficiency_multi, delta
 from specfactor.spectral import (
     cubic_family,
@@ -149,8 +149,8 @@ def test_criterion_07_odd_r_sweep_cubic():
     assert lam[2] < rho1_value(3, 2)
     rep_factor = k_factor(pet, 2)
     assert rep_factor.exists
-    cycles = connected_components(Graph(10, rep_factor.edges))
-    assert sorted(len(c) for c in cycles) == [5, 5]
+    cycles = component_masks(Graph(10, rep_factor.edges))
+    assert sorted(c.bit_count() for c in cycles) == [5, 5]
 
 
 def test_criterion_08_sampled_class_members_stay_above_threshold():
@@ -221,7 +221,7 @@ def test_criterion_10_interlacing_trials():
             keep = [v for v in range(g.n) if rng.random() < 0.75]
             if not keep:
                 continue
-            comps = connected_components(induced_subgraph(g, keep))
+            comps = [list(bits(m)) for m in component_masks(induced_subgraph(g, keep))]
             s = rng.randrange(1, min(3, len(comps)) + 1)
             rng.shuffle(comps)
             subs = []

@@ -183,6 +183,13 @@ def test_extremal_refuses_orders_above_the_cap_before_building(capsys, monkeypat
     assert encoded == []
 
 
+def test_oracle_delta_refuses_a_vertex_listed_twice(capsys):
+    code, env, _ = run_cli(capsys, "oracle", "delta", "--k", "1", "--s", "0,0", "A_")
+    assert code == 1
+    assert env["status"] == "error"
+    assert env["payload"]["error"] == "S lists vertex 0 more than once"
+
+
 def test_empty_stdin_is_a_usage_error(capsys, monkeypatch):
     code, env, err = run_cli(capsys, "spectrum", stdin="", monkeypatch=monkeypatch)
     assert code == 1

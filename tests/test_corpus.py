@@ -25,7 +25,7 @@ from specfactor.corpus import (
 from specfactor.graph import Graph, complement, component_masks, join
 from specfactor.graph6 import to_graph6
 from specfactor.spectral import eigenvalues
-from specfactor.constructions import empty_graph, matching
+from specfactor.constructions import matching
 
 
 # connected simple graphs up to isomorphism, a standard counting sequence
@@ -69,7 +69,7 @@ def test_named_members_show_up():
     only = enumerate_connected_regular(4, 3)
     assert only == [complete_graph(4)] or canonical_key(only[0]) == canonical_key(complete_graph(4))
     six = enumerate_connected_regular(6, 3)
-    k33 = join(empty_graph(3), empty_graph(3))
+    k33 = join(Graph(3), Graph(3))
     prism = complement(cycle(6))
     keys = {canonical_key(g) for g in six}
     assert keys == {canonical_key(k33), canonical_key(prism)}
@@ -94,7 +94,7 @@ def test_regular_enumeration_domain():
         enumerate_connected_regular(11, 3)  # above the size cap
     with pytest.raises(ValueError):
         enumerate_connected_regular(4, 4)  # r must stay below n
-    assert enumerate_connected_regular(1, 0) == [empty_graph(1)]
+    assert enumerate_connected_regular(1, 0) == [Graph(1)]
     assert enumerate_connected_regular(4, 1) == []  # matchings are disconnected
     assert len(enumerate_connected_regular(2, 1)) == 1
 

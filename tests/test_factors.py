@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from specfactor.constructions import (
     complete_graph,
     cycle,
-    empty_graph,
     path,
     petersen,
     star,
@@ -210,7 +209,7 @@ def test_criticality_examples():
     assert not is_k_critical(Graph(1, []), 3)
     # the wheel W4 at k = 3: each rim vertex has degree exactly k, so k + 1
     # is out of reach there and only the k - 1 near-factor serves it
-    wheel = join(empty_graph(1), cycle(4))
+    wheel = join(Graph(1), cycle(4))
     assert wheel.degrees() == (4, 3, 3, 3, 3)
     assert is_k_critical(wheel, 3)
     # K5 less two edges at vertex 0: degree k - 1 there rules out every
@@ -278,18 +277,18 @@ def test_criticality_runs_one_matching(monkeypatch):
 
 def test_augmenting_searches_are_pinned(monkeypatch):
     # the greedy start leaves few slots exposed; pairing every edge's two
-    # nodes instead leaves every slot exposed and runs 341 and 187 here
+    # nodes instead leaves every slot exposed and runs 341 and 176 here
     searches = []
     search = matching._blossom_search
 
     def counting(adj, match):
-        find_path, p, used = search(adj, match)
+        find_path, p, even = search(adj, match)
 
         def counted(root):
             searches.append(root)
             return find_path(root)
 
-        return counted, p, used
+        return counted, p, even
 
     monkeypatch.setattr(matching, "_blossom_search", counting)
     for n in range(20, 42):
@@ -298,7 +297,7 @@ def test_augmenting_searches_are_pinned(monkeypatch):
     searches.clear()
     for n in range(21, 42, 2):
         is_k_critical(random_regular(n, 4, 0), 1)
-    assert len(searches) == 38
+    assert len(searches) == 27
 
 
 def test_gadget_start_is_a_greedy_bounded_subgraph():

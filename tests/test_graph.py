@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from specfactor.constructions import (
     complete_graph,
     cycle,
-    empty_graph,
     matching,
     path,
 )
@@ -20,7 +19,7 @@ from specfactor.graph import (
     Graph,
     bits,
     complement,
-    connected_components,
+    component_masks,
     disjoint_union,
     induced_subgraph,
     join,
@@ -81,8 +80,8 @@ def test_equality_and_hash_are_label_sensitive():
 
 
 def test_complement_examples():
-    assert complement(complete_graph(4)) == empty_graph(4)
-    assert complement(empty_graph(3)) == complete_graph(3)
+    assert complement(complete_graph(4)) == Graph(4)
+    assert complement(Graph(3)) == complete_graph(3)
     # complete_graph is built as a complement, so check it against its edges
     for n in range(9):
         assert complete_graph(n) == Graph(n, combinations(range(n), 2))
@@ -95,17 +94,17 @@ def test_complement_examples():
 
 def test_join_examples():
     assert join(complete_graph(1), complete_graph(1)) == complete_graph(2)
-    g = join(complete_graph(3), empty_graph(2))
+    g = join(complete_graph(3), Graph(2))
     assert g.n == 5
     assert g.edge_count == 9
     assert sorted(g.degrees(), reverse=True) == [4, 4, 4, 3, 3]
-    kab = join(empty_graph(2), empty_graph(3))
+    kab = join(Graph(2), Graph(3))
     assert kab.edge_count == 6
     assert sorted(kab.degrees()) == [2, 2, 2, 3, 3]
 
 
 def test_disjoint_union_examples():
-    assert disjoint_union(complete_graph(1), complete_graph(1)) == empty_graph(2)
+    assert disjoint_union(complete_graph(1), complete_graph(1)) == Graph(2)
     g = disjoint_union(complete_graph(3), complete_graph(3))
     assert g.n == 6 and g.edge_count == 6
     assert g.is_regular() and not g.is_connected()
@@ -140,10 +139,12 @@ def test_bits():
 
 
 def test_connected_components_examples():
-    assert connected_components(complete_graph(4)) == [[0, 1, 2, 3]]
-    two = connected_components(disjoint_union(complete_graph(3), complete_graph(3)))
-    assert two == [[0, 1, 2], [3, 4, 5]]
-    assert connected_components(empty_graph(3)) == [[0], [1], [2]]
+    assert component_masks(complete_graph(4)) == [0b1111]
+    two = component_masks(disjoint_union(complete_graph(3), complete_graph(3)))
+    assert two == [0b000111, 0b111000]
+    assert component_masks(Graph(3)) == [0b001, 0b010, 0b100]
+    # restricted to a vertex mask: the path 0-1-2-3 minus vertex 1
+    assert component_masks(path(4), 0b1101) == [0b0001, 0b1100]
 
 
 @st.composite
@@ -177,7 +178,7 @@ def test_join_degree_law(g1, g2):
 @given(small_graphs())
 @settings(max_examples=200, deadline=None)
 def test_components_partition(g):
-    comps = connected_components(g)
+    comps = [list(bits(m)) for m in component_masks(g)]
     seen = [v for comp in comps for v in comp]
     assert sorted(seen) == list(range(g.n))
     assert len(set(seen)) == g.n

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from specfactor.constructions import complete_graph, cycle, empty_graph
+from specfactor.constructions import complete_graph, cycle
 from specfactor.graph import Graph
 from specfactor.graph6 import Graph6Error, parse_graph6, to_graph6
 
@@ -115,7 +115,7 @@ def test_error_is_value_error():
 
 
 def test_multibyte_vertex_count():
-    g = empty_graph(100)
+    g = Graph(100)
     line = to_graph6(g)
     assert line.startswith("~")
     assert parse_graph6(line) == g

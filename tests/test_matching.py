@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from specfactor.constructions import (
     complete_graph,
     cycle,
-    empty_graph,
     matching,
     path,
     petersen,
@@ -23,7 +22,7 @@ from specfactor.constructions import (
 from specfactor import factors
 from specfactor.corpus import random_regular
 from specfactor.graph import Graph, induced_subgraph, join
-from specfactor.matching import _max_matching_adj, _missable
+from specfactor.matching import _max_matching_adj
 from specfactor.oracle import brute_force_deficiency
 
 from conftest import (
@@ -61,7 +60,7 @@ def test_hand_examples():
     assert matching_number(cycle(6)) == 3
     assert matching_number(petersen()) == 5
     assert matching_number(star(4)) == 1
-    assert matching_number(empty_graph(6)) == 0
+    assert matching_number(Graph(6)) == 0
     assert matching_number(matching(4)) == 4
     for n in range(1, 9):
         assert matching_number(complete_graph(n)) == n // 2
@@ -69,7 +68,7 @@ def test_hand_examples():
 
 def test_complete_bipartite():
     for a, b in [(1, 3), (2, 2), (2, 5), (3, 3)]:
-        g = join(empty_graph(a), empty_graph(b))
+        g = join(Graph(a), Graph(b))
         assert matching_number(g) == min(a, b)
 
 
@@ -112,10 +111,18 @@ def test_augmenting_through_blossoms():
     assert matching_number(g) == 3
 
 
+def _marks(size: int, nodes: list[int]) -> list[bool]:
+    marks = [False] * size
+    for v in nodes:
+        marks[v] = True
+    return marks
+
+
 def _check_missable(n: int, adj: list[list[int]]) -> int:
-    """Assert missable[v] iff nu(G - v) = nu(G); return the missable count."""
+    """Assert that the search returns v iff nu(G - v) = nu(G); return the
+    missable count."""
     g = Graph(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
-    missable = _missable(adj, _max_matching_adj(n, adj, [-1] * n))
+    missable = _marks(n, _max_matching_adj(n, adj, [-1] * n))
     nu = matching_number(g)
     for v in range(n):
         rest = induced_subgraph(g, [u for u in range(n) if u != v])
@@ -142,15 +149,6 @@ def test_missable_on_factor_gadgets():
         _check_missable(len(adj), adj)
 
 
-def test_missable_refuses_a_matching_that_is_not_maximum():
-    # path 0-1-2-3 matched only in the middle: 0-1-2-3 augments it
-    adj = [[1], [0, 2], [1, 3], [2]]
-    with pytest.raises(RuntimeError, match="not maximum"):
-        _missable(adj, [-1, 2, 1, -1])
-    with pytest.raises(RuntimeError, match="not maximum"):
-        _missable([[1], [0]], [-1, -1])
-
-
 @pytest.fixture
 def watchdog():
     """Fail, rather than hang, when the search loops forever: a stale blossom
@@ -172,10 +170,11 @@ def _assert_agrees_with_reference(adj: list[list[int]], starts) -> tuple[list[in
     ref = reference_max_matching(adj)
     ref_missable = reference_missable(adj, ref)
     for start in starts:
-        got = _max_matching_adj(len(adj), adj, list(start))
+        got = list(start)
+        missable = _max_matching_adj(len(adj), adj, got)
         assert got.count(-1) == ref.count(-1)
         assert all(got[got[v]] == v and got[v] in adj[v] for v in range(len(adj)) if got[v] != -1)
-        assert _missable(adj, got) == ref_missable
+        assert _marks(len(adj), missable) == ref_missable
     return ref, ref_missable
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specfactor.constructions import complete_graph, cycle, empty_graph, star
+from specfactor.constructions import complete_graph, cycle, star
 from specfactor.factors import deficiency as engine_deficiency
 from specfactor import oracle
 from specfactor.graph import Graph, disjoint_union
@@ -60,6 +60,11 @@ def test_delta_rejects_overlap_and_range():
         delta(g, 1, ((0,), (0,)))
     with pytest.raises(ValueError):
         delta(g, 1, ((7,), ()))
+    # a repeated vertex would be echoed back while counted once
+    with pytest.raises(ValueError, match="S lists vertex 0 more than once"):
+        delta(g, 1, ((0, 0), ()))
+    with pytest.raises(ValueError, match="T lists vertex 3 more than once"):
+        delta(g, 1, STPair((1,), (3, 2, 3)))
 
 
 def test_deficiency_examples():
@@ -67,14 +72,14 @@ def test_deficiency_examples():
     assert brute_force_deficiency(cycle(4), 1) == (0, STPair((), ()))
     assert brute_force_deficiency(star(4), 2)[0] == 6
     assert brute_force_deficiency(complete_graph(5), 1)[0] == 1
-    assert brute_force_deficiency(empty_graph(3), 1)[0] == 3
+    assert brute_force_deficiency(Graph(3), 1)[0] == 3
 
 
 def test_deficiency_cap():
     # the sweep's one bound is the 16 vertices its uint16 pair tables cover
-    assert brute_force_deficiency(empty_graph(15), 1)[0] == 15
+    assert brute_force_deficiency(Graph(15), 1)[0] == 15
     with pytest.raises(ValueError, match="n <= 16, got n = 17"):
-        brute_force_deficiency(empty_graph(17), 1)
+        brute_force_deficiency(Graph(17), 1)
 
 
 def test_cap_and_k_ceilings():

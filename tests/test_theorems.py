@@ -153,6 +153,22 @@ def test_campaign_sample_domain():
         verify_thm_2_1(3, 2, samples=1)  # threshold domain: r >= 4
 
 
+def test_class_campaigns_refuse_orders_above_the_cap_before_building(monkeypatch):
+    built = []
+    for name in ("extremal_even", "extremal_odd_m1", "extremal_odd_m2", "extremal_odd_m3"):
+        monkeypatch.setattr(theorems, name, lambda *args: built.append(args))
+    cap = "2049 vertices exceeds the cap of 2048"
+    with pytest.raises(ValueError, match=cap):
+        verify_thm_2_1(2048, 2, samples=0)
+    for m in (1, 3):
+        with pytest.raises(ValueError, match=cap):
+            verify_thm_2_2(2047, m, samples=0)
+    for m in (2, 4):  # even r: the next order above the cap is 2050
+        with pytest.raises(ValueError, match="2050 vertices exceeds"):
+            verify_thm_2_2(2048, m, samples=0)
+    assert built == []
+
+
 def test_even_r_odd_k_campaign_over_quartics():
     corpus = []
     for n in (5, 6, 7, 8):
