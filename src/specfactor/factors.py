@@ -1,9 +1,11 @@
 """Factor solving by gadget reduction to maximum matching.
 
-The solver uses one gadget: each edge becomes two joined edge nodes and
-vertex v gets min(f(v), d(v)) slot nodes joined to v's edge nodes.  A
+The solver uses one gadget: vertex v gets min(f(v), d(v)) slot nodes, an
+edge between two one-slot vertices joins their slots, and any other edge
+becomes two joined edge nodes, each joined to the slots of its end.  A
 maximum matching yields a maximum subgraph with deg(v) <= f(v), of size nu;
-def = sum(f) - 2*nu, and at def = 0 that subgraph is an f-factor.
+def = sum(f) - 2*nu, and at def = 0 that subgraph is an f-factor.  At
+k = 1 the gadget is the graph itself.
 
 k-criticality answers all 2n near-factor queries (f = k but k +- 1 at one
 vertex) from one matching of the k-gadget and the missable nodes that the
@@ -14,10 +16,12 @@ matching of the f-gadget).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
-from .graph import Graph
+from .graph import Graph, bits
 from .matching import _max_matching_adj
 
 
@@ -29,8 +33,16 @@ class FactorReport:
     deficiency: int
 
 
+def _integer(x, name: str) -> int:
+    """x as an int; anything but an integer (1.7, '2') is refused, not cut."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {x!r}") from None
+
+
 def _normalize_spec(g: Graph, spec: Sequence[int]) -> list[int]:
-    f = [int(x) for x in spec]
+    f = [_integer(x, f"degree spec at vertex {v}") for v, x in enumerate(spec)]
     if len(f) != g.n:
         raise ValueError("degree spec length must equal vertex count")
     for v, fv in enumerate(f):
@@ -41,57 +53,78 @@ def _normalize_spec(g: Graph, spec: Sequence[int]) -> list[int]:
 
 def _gadget(
     g: Graph, caps: Sequence[int]
-) -> tuple[list[tuple[int, int]], list[list[int]], list[list[int]], list[range], list[int]]:
-    """The slot gadget: (edges, adj, ends_of, slots_of, start).
+) -> tuple[list[tuple[int, int, int, int]], list[list[int]], list[list[int]], list[range], list[int]]:
+    """The slot gadget: (links, adj, ends_of, slots_of, start).
 
-    Edge i becomes nodes 2i, 2i+1 (joined); ends_of[v] lists the edge nodes
-    on v's side.  Vertex v then gets min(caps[v], d(v)) slot nodes,
-    slots_of[v], each joined to all of ends_of[v], so v's slot nodes are
-    twins.  start is a matching of the gadget from a greedy bounded
-    subgraph: an edge whose ends both have a free slot takes one slot at
-    each end, any other edge matches its two nodes, so only the slots that
+    Vertex v gets min(caps[v], d(v)) slot nodes, slots_of[v], numbered
+    vertex by vertex from 0, so v's slots are twins.  An edge between two
+    one-slot vertices joins their slots; any other edge becomes two joined
+    edge nodes, each joined to every slot of its end.  ends_of[v] lists,
+    in neighbour order, the node v's slots meet on each edge: v's edge
+    node, or the neighbour's slot.  links holds (u, v, p, q) per edge in
+    g.edges() order, with p in ends_of[u] and q in ends_of[v].  At k = 1,
+    with no isolated vertex, the gadget is g itself.
+
+    A joined edge is the path s_u - a - b - s_v with its degree-2 nodes
+    contracted: every maximum matching loses one edge, and a (b) is
+    missable in the full gadget iff s_v (s_u) is in the joined one, while
+    s_u and s_v keep their marks.  So marks read through ends_of mean what
+    they mean for edge nodes.
+
+    start is a matching from a greedy bounded subgraph: an edge whose ends
+    both have a free slot matches p and q to one slot at their ends, any
+    other edge matches its edge nodes if it has them, so only the slots
     greedy leaves free are exposed.
     """
-    edges = g.edges()
+    slots = [min(c, d) for c, d in zip(caps, g.degrees())]
+    first = [0, *accumulate(slots)]
+    slots_of = [range(a, b) for a, b in zip(first, first[1:])]
+    adj: list[list[int]] = [[] for _ in range(first[-1])]
+    start = [-1] * first[-1]
     ends_of: list[list[int]] = [[] for _ in range(g.n)]
-    for i, (u, v) in enumerate(edges):
-        ends_of[u].append(2 * i)
-        ends_of[v].append(2 * i + 1)
-    adj = [[node ^ 1] for node in range(2 * len(edges))]
-    slots_of = []
-    for v in range(g.n):
-        first = len(adj)
-        for _ in range(min(caps[v], len(ends_of[v]))):
-            for e_node in ends_of[v]:
-                adj[e_node].append(len(adj))
-            adj.append(list(ends_of[v]))
-        slots_of.append(range(first, len(adj)))
-    start = [node ^ 1 if node < 2 * len(edges) else -1 for node in range(len(adj))]
-    taken = [0] * g.n
-    for i, (u, v) in enumerate(edges):
-        if taken[u] < len(slots_of[u]) and taken[v] < len(slots_of[v]):
-            for node, w in ((2 * i, u), (2 * i + 1, v)):
-                start[node] = slots_of[w][taken[w]]
-                start[start[node]] = node
-                taken[w] += 1
-    return edges, adj, ends_of, slots_of, start
+    # each vertex's lowest slot that the greedy start has not taken
+    free = first[:-1]
+    links = []
+    for u, row in enumerate(g.rows):
+        for v in bits(row >> (u + 1) << (u + 1)):
+            if slots[u] == 1 == slots[v]:
+                p, q = first[v], first[u]
+                adj[q].append(p)
+                adj[p].append(q)
+            else:
+                p, q = len(adj), len(adj) + 1
+                adj += ([q, *slots_of[u]], [p, *slots_of[v]])
+                for s in slots_of[u]:
+                    adj[s].append(p)
+                for s in slots_of[v]:
+                    adj[s].append(q)
+                start += (q, p)
+            a, b = free[u], free[v]
+            if a < first[u + 1] and b < first[v + 1]:
+                # on a joined edge a = q and b = p: the two slots pair up
+                start[a], start[p], start[b], start[q] = p, a, q, b
+                free[u], free[v] = a + 1, b + 1
+            ends_of[u].append(p)
+            ends_of[v].append(q)
+            links.append((u, v, p, q))
+    return links, adj, ends_of, slots_of, start
 
 
 def _bounded_subgraph(g: Graph, caps: Sequence[int]) -> list[tuple[int, int]]:
     """Edges of a maximum subgraph with deg(v) <= caps[v] for every v.
 
-    In a maximum matching of the slot gadget no edge has both nodes free,
-    so the edges whose nodes are both matched to slots form the maximum
-    bounded subgraph and nu = |matching| - e(g).
+    An edge (u, v, p, q) is taken when p is matched to a slot of u and q to
+    a slot of v (for a joined edge: its two slots to each other).  A
+    maximum matching never leaves p and q both free, and its taken edges
+    form a maximum bounded subgraph.
     """
-    edges, adj, _, _, match = _gadget(g, caps)
+    links, adj, _, slots_of, match = _gadget(g, caps)
     _max_matching_adj(len(adj), adj, match)
     picked = []
-    for i, (u, v) in enumerate(edges):
-        a, b = 2 * i, 2 * i + 1
-        if match[a] == -1 and match[b] == -1:
+    for u, v, p, q in links:
+        if match[p] == -1 and match[q] == -1:
             raise RuntimeError("matching not maximum")
-        if match[a] not in (-1, b) and match[b] not in (-1, a):
+        if match[p] in slots_of[u] and match[q] in slots_of[v]:
             picked.append((u, v))
     return picked
 
@@ -132,6 +165,7 @@ def has_f_factor(g: Graph, spec: Sequence[int]) -> FactorReport:
 
 def k_factor(g: Graph, k: int) -> FactorReport:
     """Spanning k-regular subgraph query; deficiency is filled in either way."""
+    k = _integer(k, "k")
     if k < 0:
         raise ValueError("k must be non-negative")
     return has_f_factor(g, [k] * g.n)
@@ -153,8 +187,11 @@ def is_k_critical(g: Graph, k: int) -> bool:
     maximum matching leaves it exposed), or, for k+1, an edge node of x is
     missable (the new slot takes it).  That edge-node test needs no
     d(x) > k check: when x has d(x) = k slots, a matching that leaves one
-    of x's edge nodes exposed leaves one of its slots exposed too.
+    of x's edge nodes exposed leaves one of its slots exposed too.  The
+    test reads ends_of[x], where a joined edge's slot carries the mark of
+    the edge node it replaces (see `_gadget`).
     """
+    k = _integer(k, "k")
     if k < 1:
         raise ValueError("k must be at least 1")
     if (k * g.n) % 2 == 0:

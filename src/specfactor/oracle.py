@@ -20,6 +20,7 @@ numpy, so it stays independent of the matching engine it checks.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -106,6 +107,10 @@ def delta(g: Graph, k: int, st) -> DeltaBreakdown:
 
 def _check(g: Graph, ks: Sequence[int]) -> None:
     for k in ks:
+        try:
+            k = operator.index(k)
+        except TypeError:
+            raise ValueError(f"k must be an integer, got {k!r}") from None
         if k < 0:
             raise ValueError("k must be non-negative")
         if k > _MAX_K:

@@ -1,8 +1,9 @@
 """Degree-constrained spanning subgraphs: existence, deficiency, criticality.
 
-The solver sends each graph edge to a two-node widget and each vertex v to
-f(v) slot nodes, so a maximum matching gives a maximum subgraph with
-bounded degrees.  These tests check the bookkeeping and the agreement
+The solver sends each vertex v to min(f(v), d(v)) slot nodes and each
+graph edge to a two-node widget, or, between two one-slot vertices, to an
+edge joining their slots, so a maximum matching gives a maximum subgraph
+with bounded degrees.  These tests check the bookkeeping and the agreement
 with the subset sweep and edge-subset references.
 """
 
@@ -83,10 +84,22 @@ def test_demand_above_degree_is_infeasible_not_an_error():
 @pytest.mark.parametrize("spec,message", [
     ([1, 1], "length must equal vertex count"),
     ([1, -1, 1], "negative at vertex 1"),
+    ([1.9, 1, 1], "vertex 0 must be an integer, got 1.9"),
+    ([1, "2", 1], "vertex 1 must be an integer, got '2'"),
+    ([1, 1, None], "vertex 2 must be an integer, got None"),
 ])
 def test_degree_spec_errors(spec, message):
     with pytest.raises(ValueError, match=message):
         has_f_factor(path(3), spec)
+
+
+def test_k_must_be_an_integer():
+    # refused, not truncated: k = 1.7 used to answer the k = 1 query
+    for call, k in [(k_factor, 1.7), (deficiency, 1.7), (is_k_critical, 1.5), (k_factor, "1")]:
+        with pytest.raises(ValueError, match=f"k must be an integer, got {k!r}"):
+            call(complete_graph(3), k)
+    # integer types other than int are fine
+    assert k_factor(complete_graph(4), True).exists
 
 
 def test_factor_certificate_meets_degrees():
@@ -302,24 +315,95 @@ def test_augmenting_searches_are_pinned(monkeypatch):
 
 def test_gadget_start_is_a_greedy_bounded_subgraph():
     rng = random.Random(29)
+    joined = mixed = 0
     for _ in range(300):
         g = random_graph(rng.randrange(0, 14), rng.random(), rng)
         caps = [rng.randrange(0, 5) for _ in range(g.n)]
-        edges, adj, _, slots_of, start = factors._gadget(g, caps)
+        links, adj, ends_of, slots_of, start = factors._gadget(g, caps)
+        # layout: slots vertex by vertex from 0, then one pair of edge nodes
+        # per edge that is not joined slot to slot
+        slots = [min(c, d) for c, d in zip(caps, g.degrees())]
+        assert [len(r) for r in slots_of] == slots
+        assert [x for r in slots_of for x in r] == list(range(sum(slots)))
+        assert [link[:2] for link in links] == g.edges()
+        pairs = 0
+        for u, v, p, q in links:
+            if slots[u] == 1 == slots[v]:
+                assert (p, q) == (slots_of[v][0], slots_of[u][0])
+                joined += 1
+            else:
+                assert adj[p] == [q, *slots_of[u]] and adj[q] == [p, *slots_of[v]]
+                pairs += 1
+        assert len(adj) == sum(slots) + 2 * pairs
+        for v in range(g.n):
+            assert ends_of[v] == [p if u == v else q for u, w, p, q in links if v in (u, w)]
+            assert all(adj[s] == ends_of[v] for s in slots_of[v])
+            kinds = {slots[w] == 1 == slots[v] for w in g.neighbors(v)}
+            mixed += len(kinds) == 2
+        # start is a matching of the gadget
         assert all(start[start[v]] == v and start[v] in adj[v] for v in range(len(adj)) if start[v] != -1)
         taken = [0] * g.n
-        for i, (u, v) in enumerate(edges):
-            assert start[2 * i] != -1 and start[2 * i + 1] != -1
-            taken[u] += start[2 * i] != 2 * i + 1
-            taken[v] += start[2 * i + 1] != 2 * i
+        skipped = []
+        for u, v, p, q in links:
+            if start[p] in slots_of[u]:
+                assert start[q] in slots_of[v]
+                taken[u] += 1
+                taken[v] += 1
+            else:
+                assert start[q] not in slots_of[v]
+                skipped.append((u, v))
         # exposed: exactly the slots greedy left free, and no edge it skipped
         # joins two vertices that both still have one
+        assert all(start[x] != -1 for x in range(sum(slots), len(adj)))
         for v in range(g.n):
-            assert [start[s] for s in slots_of[v]].count(-1) == len(slots_of[v]) - taken[v]
-        free = [taken[v] < len(slots_of[v]) for v in range(g.n)]
-        assert not any(free[u] and free[v] and start[2 * i] == 2 * i + 1
-                       for i, (u, v) in enumerate(edges))
-        assert start.count(-1) == sum(len(s) for s in slots_of) - sum(taken)
+            assert [start[s] for s in slots_of[v]].count(-1) == slots[v] - taken[v]
+        free = [taken[v] < slots[v] for v in range(g.n)]
+        assert not any(free[u] and free[v] for u, v in skipped)
+        assert start.count(-1) == sum(slots) - sum(taken)
+    assert joined > 150 and mixed > 150
+
+
+def test_k1_gadget_is_the_graph(connected_by_n):
+    # every slot count is 1, so every edge is joined and node v is vertex v
+    for n in range(2, 8):
+        for g in connected_by_n[n]:
+            _, adj, ends_of, slots_of, _ = factors._gadget(g, [1] * n)
+            assert len(adj) == n
+            assert adj == ends_of == [list(g.neighbors(v)) for v in range(n)]
+            assert slots_of == [range(v, v + 1) for v in range(n)]
+    # K1's one vertex has no slot
+    assert factors._gadget(Graph(1), [1])[1] == []
+
+
+def test_gadgets_mixing_joined_and_edge_node_edges_agree_with_references():
+    # caps from {0, 1, 2}: a one-slot vertex next to both a one-slot and a
+    # zero- or two-slot neighbour has both kinds of edge
+    rng = random.Random(47)
+    mixed = critical = 0
+    while mixed < 300:
+        g = random_graph(rng.randrange(3, 9), rng.uniform(0.3, 0.8), rng)
+        caps = [rng.randrange(0, 3) for _ in range(g.n)]
+        slots = [min(c, d) for c, d in zip(caps, g.degrees())]
+        kinds = [{slots[w] == 1 for w in g.neighbors(v)} for v in range(g.n) if slots[v] == 1]
+        # the edge-subset reference holds 2^e degree rows
+        if {True, False} not in kinds or g.edge_count > 14:
+            continue
+        mixed += 1
+        exists, defect = reference_f_factor(g, caps)
+        rep = has_f_factor(g, caps)
+        assert (rep.exists, rep.deficiency) == (exists, defect), (g.edges(), caps)
+        if exists:
+            assert len(set(rep.edges)) == len(rep.edges)
+            degs = [0] * g.n
+            for u, v in rep.edges:
+                assert g.has_edge(u, v)
+                degs[u] += 1
+                degs[v] += 1
+            assert degs == caps
+        got = is_k_critical(g, 1)
+        assert got == reference_is_k_critical(g, 1), g.edges()
+        critical += got
+    assert critical > 10
 
 
 def test_critical_graphs_have_deficiency_one():

@@ -139,14 +139,46 @@ def test_missable_nodes_are_those_some_maximum_matching_misses():
                for g in graphs) > 300
 
 
+def _full_gadget(g: Graph, caps) -> tuple[list[list[int]], list[list[int]]]:
+    """(adj, ends_of) of the slot gadget with no edge joined slot to slot:
+    slots numbered as in factors._gadget, then two edge nodes for every
+    edge, each joined to the slots of its end."""
+    first = [0]
+    for v in range(g.n):
+        first.append(first[-1] + min(caps[v], g.degree(v)))
+    adj: list[list[int]] = [[] for _ in range(first[-1])]
+    ends_of: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges():
+        a, b = len(adj), len(adj) + 1
+        adj += [[b], [a]]
+        for node, w in ((a, u), (b, v)):
+            for s in range(first[w], first[w + 1]):
+                adj[node].append(s)
+                adj[s].append(node)
+            ends_of[w].append(node)
+    return adj, ends_of
+
+
 def test_missable_on_factor_gadgets():
-    # slot gadgets have twin slot nodes and many blossoms through edge pairs
+    # slot gadgets have twin slot nodes and many blossoms through edge pairs;
+    # an edge joined slot to slot carries the marks of the two edge nodes it
+    # replaces, checked against the full gadget's reference marks
     rng = random.Random(37)
+    joined = 0
     for _ in range(150):
         g = random_graph(rng.randrange(1, 7), rng.random(), rng)
         caps = [rng.randrange(0, 4) for _ in range(g.n)]
-        _, adj, _, _, _ = factors._gadget(g, caps)
+        _, adj, ends_of, slots_of, _ = factors._gadget(g, caps)
         _check_missable(len(adj), adj)
+        marks = _marks(len(adj), _max_matching_adj(len(adj), adj, [-1] * len(adj)))
+        full, full_ends_of = _full_gadget(g, caps)
+        full_marks = reference_missable(full, reference_max_matching(full))
+        slots = [s for r in slots_of for s in r]
+        assert [marks[s] for s in slots] == [full_marks[s] for s in slots]
+        for v in range(g.n):
+            assert [marks[e] for e in ends_of[v]] == [full_marks[e] for e in full_ends_of[v]]
+        joined += (len(full) - len(adj)) // 2
+    assert joined > 50
 
 
 @pytest.fixture
@@ -208,8 +240,9 @@ def test_engine_agrees_with_full_scan_reference_at_witness_scale(n, r, k):
     g = random_regular(n, r, 1)
     _, adj, ends_of, slots_of, start = factors._gadget(g, [k] * n)
     ref, missable = _assert_agrees_with_reference(adj, [start])
-    # the bounded subgraph has |matching| - e(g) edges
-    nu = (len(adj) - ref.count(-1)) // 2 - len(g.edges())
+    # the bounded subgraph has |matching| edges less one per edge-node pair
+    pairs = (len(adj) - sum(len(r) for r in slots_of)) // 2
+    nu = (len(adj) - ref.count(-1)) // 2 - pairs
     assert factors.k_factor(g, k).deficiency == k * n - 2 * nu
     critical = (k * n) % 2 == 1 and ref.count(-1) == 1 and all(
         missable[slots_of[x][0]] or any(missable[e] for e in ends_of[x]) for x in range(n)

@@ -91,6 +91,12 @@ def test_cap_and_k_ceilings():
         brute_force_deficiency_multi(cycle(40), [1])
     with pytest.raises(ValueError, match="k must be at most"):
         brute_force_deficiency(g, oracle._MAX_K + 1)
+    # refused, not a TypeError from inside the sweep
+    for call, k in [(brute_force_deficiency, 1.5), (optimal_pairs, "1"), (brute_force_has_k_factor, None)]:
+        with pytest.raises(ValueError, match=f"k must be an integer, got {k!r}"):
+            call(g, k)
+    with pytest.raises(ValueError, match="k must be an integer, got 2.0"):
+        brute_force_deficiency_multi(g, [1, 2.0])
     # the largest k still fits the sweep's int32 arithmetic: T = V wins
     assert brute_force_deficiency(g, oracle._MAX_K) == (
         5 * oracle._MAX_K - 10,
