@@ -9,6 +9,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .graph import Graph, complement, disjoint_union, join
+from .spectral import check_class
 
 
 def complete_graph(n: int) -> Graph:
@@ -81,10 +82,7 @@ def extremal_even(r: int, m: int) -> Graph:
 
     Labels: 0..r-m is the clique part, r+1-m..r the matching-complement part.
     """
-    if r < 4:
-        raise ValueError("r must be at least 4")
-    if m % 2 != 0 or not 2 <= m <= r + 1:
-        raise ValueError("m must be even with 2 <= m <= r+1")
+    check_class(r, m, "even")
     return join(complete_graph(r + 1 - m), cocktail_party(m // 2))
 
 
@@ -96,8 +94,7 @@ def extremal_odd_m3(r: int, m: int, cycle_lengths: Sequence[int] | None = None) 
     """
     if m < 3:
         raise ValueError("m must be at least 3")
-    if (m - r) % 2 != 0 or m > r + 1:
-        raise ValueError("m must satisfy m == r (mod 2) and m <= r+1")
+    check_class(r, m, "odd")
     if cycle_lengths is None:
         cycle_lengths = (m,)
     if sum(cycle_lengths) != m or any(c < 3 for c in cycle_lengths):
@@ -111,8 +108,7 @@ def extremal_odd_m1(r: int) -> Graph:
     Labels: 0 the K_{1,2} center (degree r-1 here), 1..2 its leaves,
     3..r+1 the matching vertices.
     """
-    if r < 3 or r % 2 == 0:
-        raise ValueError("r must be odd and at least 3")
+    check_class(r, 1, "odd")  # the m = 1 odd family: r odd >= 3
     return complement(disjoint_union(star(2), matching((r - 1) // 2)))
 
 
@@ -125,8 +121,7 @@ def extremal_odd_m2(r: int) -> Graph:
     the equitable quotient on extremal_odd_m2_parts; it lies above the root
     of f1 that rho2(r, 2) registers.
     """
-    if r < 4 or r % 2 != 0:
-        raise ValueError("r must be even and at least 4")
+    check_class(r, 2, "odd")  # the m = 2 odd family: r even >= 4
     return complement(disjoint_union(path(4), matching((r - 2) // 2)))
 
 
@@ -137,8 +132,7 @@ def aux_two_p3(r: int) -> Graph:
     its two degree-(r-1) vertices are adjacent.  Labels: paths 0-1-2 and
     3-4-5, matching 6..r+1.
     """
-    if r < 4 or r % 2 != 0:
-        raise ValueError("r must be even and at least 4")
+    check_class(r, 2, "odd")  # the m = 2 odd family: r even >= 4
     return complement(disjoint_union(disjoint_union(path(3), path(3)), matching((r - 4) // 2)))
 
 
@@ -148,8 +142,7 @@ def aux_claw(r: int) -> Graph:
     Non-extremal member of the 2e = rn - 2 class with a single degree-(r-2)
     vertex.  Labels: center 0, leaves 1..3, matching 4..r+1.
     """
-    if r < 4 or r % 2 != 0:
-        raise ValueError("r must be even and at least 4")
+    check_class(r, 2, "odd")  # the m = 2 odd family: r even >= 4
     return complement(disjoint_union(star(3), matching((r - 2) // 2)))
 
 

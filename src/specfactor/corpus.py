@@ -26,6 +26,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .graph import Graph, bits, complement, component_masks
 from .canon import canonical_key, canonical_labeling  # noqa: F401 (traced by perfbench)
+from .spectral import check_class
 
 _MAX_CONNECTED_N = 8
 _MAX_REGULAR_N = 10
@@ -59,15 +60,11 @@ def enumerate_connected_graphs(n: int) -> list[Graph]:
     return out
 
 
-def _open_vertex(
-    rows: Sequence[int], deficits: Sequence[int]
-) -> tuple[int, int, Sequence[int]] | None:
+def _open_vertex(rows: Sequence[int], deficits: Sequence[int]) -> tuple[int, int, Sequence[int]]:
     """(width, v, candidates) for the first open vertex v with the fewest ways
     to saturate it: candidates are the other open vertices not adjacent to v,
-    and width = C(len(candidates), deficits[v]).  None when no vertex is open."""
+    and width = C(len(candidates), deficits[v]).  Some vertex must be open."""
     opened = sum(1 << v for v, d in enumerate(deficits) if d)
-    if not opened:
-        return None
     v = min(
         bits(opened),
         key=lambda u: comb((opened & ~rows[u] & ~(1 << u)).bit_count(), deficits[u]),
@@ -107,14 +104,19 @@ def _triangle_key(g: Graph) -> tuple:
     return canonical_key(g, [sum((g.rows[u] & r).bit_count() for u in bits(r)) // 2 for r in g.rows])
 
 
+def _check_regular(n: int, r: int) -> None:
+    """Refuse (n, r) with no r-regular graph on n vertices."""
+    if not 0 <= r < n:
+        raise ValueError("regularity must satisfy 0 <= r < n")
+    if (n * r) % 2 != 0:
+        raise ValueError("n*r must be even")
+
+
 def enumerate_connected_regular(n: int, r: int) -> list[Graph]:
     """All connected r-regular simple graphs on n vertices up to isomorphism."""
     if not 1 <= n <= _MAX_REGULAR_N:
         raise ValueError(f"enumeration capped at 1 <= n <= {_MAX_REGULAR_N}")
-    if r < 0 or r >= n:
-        raise ValueError("regularity must satisfy 0 <= r < n")
-    if (n * r) % 2 != 0:
-        raise ValueError("n*r must be even")
+    _check_regular(n, r)
     cache_key = (n, r)
     if cache_key in _regular_cache:
         return _regular_cache[cache_key]
@@ -155,10 +157,7 @@ def random_regular(n: int, r: int, seed: int) -> Graph:
     non-adjacent vertices have r + r >= n > n - 2 neighbours among the other
     n - 2 vertices, so they share one.
     """
-    if n < 1 or r < 0 or r >= n:
-        raise ValueError("need 0 <= r < n")
-    if (n * r) % 2 != 0:
-        raise ValueError("n*r must be even")
+    _check_regular(n, r)
     if r < 2 and n > r + 1:
         raise ValueError(f"no connected {r}-regular graph on {n} vertices exists")
     rng = random.Random(seed)
@@ -231,21 +230,8 @@ def random_class_member(r: int, m: int, parity: str, seed: int) -> Graph:
     on a random degree sequence and the stubs are paired; vertex 0 keeps
     degree r so the maximum is exact.
     """
-    if parity == "even":
-        if r < 4:
-            raise ValueError("even family needs r >= 4")
-        if m % 2 != 0 or not 2 <= m <= r + 1:
-            raise ValueError("even family needs even m with 2 <= m <= r+1")
-        want = (r + 1) % 2
-    elif parity == "odd":
-        if r < 3:
-            raise ValueError("odd family needs r >= 3")
-        if (m - r) % 2 != 0 or not 1 <= m <= r + 1:
-            raise ValueError("odd family needs 1 <= m <= r+1 with m == r (mod 2)")
-        want = r % 2
-    else:
-        raise ValueError("parity must be 'even' or 'odd'")
-
+    check_class(r, m, parity)
+    want = r % 2 if parity == "odd" else (r + 1) % 2
     rng = random.Random(seed)
     first = r + 1 if (r + 1) % 2 == want else r + 2
     n_choices = range(first, r + 16, 2)

@@ -16,12 +16,11 @@ matching of the f-gadget).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
-from .graph import Graph, bits
+from .graph import Graph, as_integer, bits
 from .matching import _max_matching_adj
 
 
@@ -33,16 +32,8 @@ class FactorReport:
     deficiency: int
 
 
-def _integer(x, name: str) -> int:
-    """x as an int; anything but an integer (1.7, '2') is refused, not cut."""
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {x!r}") from None
-
-
 def _normalize_spec(g: Graph, spec: Sequence[int]) -> list[int]:
-    f = [_integer(x, f"degree spec at vertex {v}") for v, x in enumerate(spec)]
+    f = [as_integer(x, f"degree spec at vertex {v}") for v, x in enumerate(spec)]
     if len(f) != g.n:
         raise ValueError("degree spec length must equal vertex count")
     for v, fv in enumerate(f):
@@ -165,7 +156,7 @@ def has_f_factor(g: Graph, spec: Sequence[int]) -> FactorReport:
 
 def k_factor(g: Graph, k: int) -> FactorReport:
     """Spanning k-regular subgraph query; deficiency is filled in either way."""
-    k = _integer(k, "k")
+    k = as_integer(k, "k")
     if k < 0:
         raise ValueError("k must be non-negative")
     return has_f_factor(g, [k] * g.n)
@@ -191,7 +182,7 @@ def is_k_critical(g: Graph, k: int) -> bool:
     test reads ends_of[x], where a joined edge's slot carries the mark of
     the edge node it replaces (see `_gadget`).
     """
-    k = _integer(k, "k")
+    k = as_integer(k, "k")
     if k < 1:
         raise ValueError("k must be at least 1")
     if (k * g.n) % 2 == 0:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -10,6 +11,14 @@ import numpy as np
 # set-bit indices of every byte value, as is and shifted up by 8
 _LOW = tuple([tuple([i for i in range(8) if b >> i & 1]) for b in range(256)])
 _HIGH = tuple([tuple([i + 8 for i in low]) for low in _LOW])
+
+
+def as_integer(x, name: str) -> int:
+    """x as an int; anything but an integer (1.7, '2') is refused, not cut."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {x!r}") from None
 
 
 def bits(mask: int) -> Sequence[int]:
@@ -163,12 +172,21 @@ def join(g: Graph, h: Graph) -> Graph:
     return Graph._trusted(rows)
 
 
+def vertex_mask(g: Graph, vertices: Iterable[int], label: str) -> int:
+    """Bitmask of a vertex list; a vertex out of range or listed twice is refused."""
+    m = 0
+    for v in vertices:
+        if not 0 <= v < g.n:
+            raise ValueError(f"{label} lists vertex {v} out of range for n={g.n}")
+        if m >> v & 1:
+            raise ValueError(f"{label} lists vertex {v} more than once")
+        m |= 1 << v
+    return m
+
+
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     """Subgraph induced on the given vertices, relabeled 0.. in sorted order."""
-    vs = sorted(set(vertices))
-    for v in vs:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
+    vs = bits(vertex_mask(g, vertices, "the subgraph"))
     index = {v: i for i, v in enumerate(vs)}
     rows = [0] * len(vs)
     for v in vs:

@@ -20,14 +20,13 @@ numpy, so it stays independent of the matching engine it checks.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .graph import Graph, bits, component_masks
+from .graph import Graph, as_integer, bits, component_masks, vertex_mask
 
 # the uint16 pair tables cover exactly n <= 16; a 3^16 sweep is about 43
 # million pairs
@@ -53,24 +52,13 @@ class DeltaBreakdown:
     delta: int
 
 
-def _mask_of(g: Graph, vertices: Iterable[int], label: str) -> int:
-    m = 0
-    for v in vertices:
-        if not 0 <= v < g.n:
-            raise ValueError(f"{label} contains vertex {v}, out of range")
-        if m >> v & 1:
-            raise ValueError(f"{label} lists vertex {v} more than once")
-        m |= 1 << v
-    return m
-
-
 def _as_masks(g: Graph, st) -> tuple[int, int]:
     if isinstance(st, STPair):
         s_iter, t_iter = st.s, st.t
     else:
         s_iter, t_iter = st
-    smask = _mask_of(g, s_iter, "S")
-    tmask = _mask_of(g, t_iter, "T")
+    smask = vertex_mask(g, s_iter, "S")
+    tmask = vertex_mask(g, t_iter, "T")
     if smask & tmask:
         raise ValueError("S and T must be disjoint")
     return smask, tmask
@@ -90,7 +78,17 @@ def _tau(g: Graph, k: int, smask: int, tmask: int) -> int:
     return count
 
 
+def _check_k(k) -> int:
+    k = as_integer(k, "k")
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    if k > _MAX_K:
+        raise ValueError(f"k must be at most {_MAX_K}")
+    return k
+
+
 def delta(g: Graph, k: int, st) -> DeltaBreakdown:
+    k = _check_k(k)
     smask, tmask = _as_masks(g, st)
     tau = _tau(g, k, smask, tmask)
     degree_sum = sum((g.row(x) & ~smask).bit_count() for x in bits(tmask))
@@ -107,14 +105,7 @@ def delta(g: Graph, k: int, st) -> DeltaBreakdown:
 
 def _check(g: Graph, ks: Sequence[int]) -> None:
     for k in ks:
-        try:
-            k = operator.index(k)
-        except TypeError:
-            raise ValueError(f"k must be an integer, got {k!r}") from None
-        if k < 0:
-            raise ValueError("k must be non-negative")
-        if k > _MAX_K:
-            raise ValueError(f"k must be at most {_MAX_K}")
+        _check_k(k)
     if g.n > _MAX_N:
         raise ValueError(f"exhaustive sweep capped at n <= {_MAX_N}, got n = {g.n}")
 

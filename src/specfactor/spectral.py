@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Graph, adjacency_bits, bits
+from .graph import Graph, adjacency_bits, bits, vertex_mask
 
 # a dense n x n float64 matrix takes 8n^2 bytes: 32 MiB at the cap
 MAX_ORDER = 2048
@@ -47,11 +47,7 @@ def _check_partition(g: Graph, parts: Sequence[Sequence[int]]) -> list[int]:
     masks = []
     seen = 0
     for i, part in enumerate(parts):
-        m = 0
-        for v in part:
-            if not 0 <= v < g.n:
-                raise ValueError(f"vertex {v} out of range")
-            m |= 1 << v
+        m = vertex_mask(g, part, f"partition part {i}")
         if m == 0:
             raise ValueError(f"partition part {i} is empty")
         if m & seen:
@@ -210,13 +206,29 @@ def rho1_value(r: int, m: int) -> float:
     return 0.5 * (r - 2 + math.sqrt(disc))
 
 
+def check_class(r: int, m: int, parity: str) -> None:
+    """Refuse (r, m) outside the paper's classes of connected irregular
+    graphs with max degree r and 2e >= rn - m: the even family (order
+    opposite to r in parity, rho1) and the odd family (order of r's
+    parity, rho2)."""
+    if parity == "even":
+        if r < 4:
+            raise ValueError("even family needs r >= 4")
+        if m % 2 != 0 or not 2 <= m <= r + 1:
+            raise ValueError("m must be even with 2 <= m <= r+1")
+    elif parity == "odd":
+        if r < 3:
+            raise ValueError("odd family needs r >= 3")
+        if (m - r) % 2 != 0 or not 1 <= m <= r + 1:
+            raise ValueError("m must satisfy 1 <= m <= r+1 and m == r (mod 2)")
+    else:
+        raise ValueError("parity must be 'even' or 'odd'")
+
+
 def rho1(r: int, m: int) -> SpectralThreshold:
     """Least spectral radius over connected irregular graphs with max degree r,
     order opposite to r in parity, and 2e >= rn - m (m even)."""
-    if r < 4:
-        raise ValueError("r must be at least 4")
-    if m % 2 != 0 or not 2 <= m <= r + 1:
-        raise ValueError("m must be even with 2 <= m <= r+1")
+    check_class(r, m, "even")
     return SpectralThreshold(rho1_value(r, m), "closed-form-even", r, m)
 
 
@@ -226,10 +238,7 @@ def rho2(r: int, m: int) -> SpectralThreshold:
     m >= 3 uses the closed form (r - 3 + sqrt((r+3)^2 - 4m)) / 2; m = 1 and
     m = 2 fall back to the greatest roots of the cubics P and f1.
     """
-    if r < 3:
-        raise ValueError("r must be at least 3")
-    if not 1 <= m <= r + 1 or (m - r) % 2 != 0:
-        raise ValueError("m must satisfy 1 <= m <= r+1 and m == r (mod 2)")
+    check_class(r, m, "odd")
     if m >= 3:
         disc = (r + 3) ** 2 - 4 * m
         return SpectralThreshold(0.5 * (r - 3 + math.sqrt(disc)), "closed-form-odd", r, m)

@@ -24,11 +24,12 @@ from .constructions import (
 )
 from .corpus import random_class_member
 from .factors import is_k_critical, k_factor
-from .graph import Graph, bits, component_masks, induced_subgraph
+from .graph import Graph, bits, component_masks, induced_subgraph, vertex_mask
 from .graph6 import to_graph6
 from .oracle import STPair
 from .spectral import (
     _check_order,
+    check_class,
     cubic_family,
     eigenvalues,
     largest_root,
@@ -347,9 +348,7 @@ def check_lemma_3_1(g: Graph, k: int, m: int, st: STPair | None = None) -> Lemma
     best_pair = pairs[0]
     best: list[tuple[int, ...]] = []
     for pair in pairs:
-        stmask = 0
-        for v in list(pair.s) + list(pair.t):
-            stmask |= 1 << v
+        stmask = vertex_mask(g, (*pair.s, *pair.t), "S u T")
         found = []
         for comp in component_masks(g, full & ~stmask):
             vs = tuple(bits(comp))
@@ -378,8 +377,7 @@ def check_lemma_3_1(g: Graph, k: int, m: int, st: STPair | None = None) -> Lemma
 def ordering_report(r: int) -> dict:
     """Greatest roots of the three cubics for even r, with the observed order
     and whether each root is attained by its associated quotient spectrum."""
-    if r % 2 != 0 or r < 4:
-        raise ValueError("needs even r >= 4")
+    check_class(r, 2, "odd")  # the m = 2 odd family: r even >= 4
     roots = {
         name: largest_root(cubic_family(name, r)) for name in ("f1", "f2", "f3")
     }

@@ -190,6 +190,13 @@ def test_oracle_delta_refuses_a_vertex_listed_twice(capsys):
     assert env["payload"]["error"] == "S lists vertex 0 more than once"
 
 
+def test_oracle_delta_refuses_a_negative_k(capsys):
+    code, env, _ = run_cli(capsys, "oracle", "delta", "--k", "-1", "--s", "0", "A_")
+    assert code == 1
+    assert env["status"] == "error"
+    assert env["payload"]["error"] == "k must be non-negative"
+
+
 def test_empty_stdin_is_a_usage_error(capsys, monkeypatch):
     code, env, err = run_cli(capsys, "spectrum", stdin="", monkeypatch=monkeypatch)
     assert code == 1

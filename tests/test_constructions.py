@@ -31,6 +31,9 @@ from specfactor.constructions import (
     petersen,
     star,
 )
+from specfactor.corpus import random_class_member
+from specfactor.spectral import rho1, rho2
+from specfactor.theorems import ordering_report
 
 
 def test_basic_families():
@@ -126,6 +129,28 @@ def test_even_family_m_equals_r_plus_1_degenerate():
     assert g == cocktail_party(3)
     assert g.is_regular() and g.max_degree() == 4
     assert 2 * g.edge_count == 5 * 6 - 6
+
+
+def _accepted(call, *args) -> bool:
+    try:
+        call(*args)
+    except ValueError:
+        return False
+    return True
+
+
+def test_class_rule_agrees_across_entry_points():
+    # every entry point into a class takes exactly the (r, m) its threshold takes
+    for r in range(3, 10):
+        for m in range(12):
+            even = _accepted(rho1, r, m)
+            assert _accepted(extremal_even, r, m) == even, (r, m)
+            assert _accepted(random_class_member, r, m, "even", 1) == even, (r, m)
+            odd = _accepted(rho2, r, m)
+            assert _accepted(random_class_member, r, m, "odd", 1) == odd, (r, m)
+        assert _accepted(extremal_odd_m1, r) == _accepted(rho2, r, 1), r
+        for call in (extremal_odd_m2, aux_two_p3, aux_claw, ordering_report):
+            assert _accepted(call, r) == _accepted(rho2, r, 2), (call.__name__, r)
 
 
 def test_extremal_domain_errors():

@@ -117,8 +117,11 @@ def test_induced_subgraph_examples():
     p = induced_subgraph(cycle(5), [0, 1, 2])
     assert p == path(3)
     assert induced_subgraph(complete_graph(4), []).n == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="vertex 5 out of range"):
         induced_subgraph(complete_graph(3), [0, 5])
+    # a repeated vertex is refused, not silently merged
+    with pytest.raises(ValueError, match="lists vertex 1 more than once"):
+        induced_subgraph(complete_graph(3), [1, 0, 1])
 
 
 def test_bits():

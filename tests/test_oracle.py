@@ -65,6 +65,15 @@ def test_delta_rejects_overlap_and_range():
         delta(g, 1, ((0, 0), ()))
     with pytest.raises(ValueError, match="T lists vertex 3 more than once"):
         delta(g, 1, STPair((1,), (3, 2, 3)))
+    # k meets the sweeps' rule instead of giving a meaningless breakdown
+    for k, message in [
+        (1.5, "k must be an integer, got 1.5"),
+        ("1", "k must be an integer, got '1'"),
+        (-1, "k must be non-negative"),
+        (oracle._MAX_K + 1, "k must be at most"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            delta(g, k, ((0,), (1,)))
 
 
 def test_deficiency_examples():

@@ -32,6 +32,21 @@ def test_lowest_set_bit_idiom_only_in_graph_bits():
     assert found == []
 
 
+def test_each_input_rule_is_stated_once():
+    # graph.as_integer is the one integer rule and spectral.check_class the
+    # one statement of each class domain; the rest call them
+    texts = {
+        path.name: path.read_text()
+        for path in sorted(Path(specfactor.__file__).parent.glob("*.py"))
+    }
+    assert [name for name, text in texts.items() if "operator.index" in text] == ["graph.py"]
+    for rule in (
+        "m must be even with 2 <= m <= r+1",
+        "m must satisfy 1 <= m <= r+1 and m == r (mod 2)",
+    ):
+        assert sum(text.count(rule) for text in texts.values()) == 1, rule
+
+
 def test_one_production_eigensolver():
     # eigvalsh is called only from spectral; the Jacobi reference lives in the tests
     found = []

@@ -201,6 +201,10 @@ def test_quotient_partition_validation():
         quotient_matrix(g, [[0, 1], []])  # empty cell
     with pytest.raises(ValueError, match="vertex 4 out of range"):
         quotient_matrix(g, [[0, 1], [2, 3, 4]])
+    # a vertex listed twice within one part is refused by every quotient entry
+    for call in (quotient_matrix, quotient_eigenvalues, is_equitable):
+        with pytest.raises(ValueError, match="part 1 lists vertex 2 more than once"):
+            call(g, [[0, 1], [2, 3, 2]])
 
 
 def test_is_equitable_examples():
