@@ -194,13 +194,7 @@ def _cmd_verify(args):
     elif args.sub == "thm3.3":
         report = theorems.verify_thm_3_3(args.r, args.k, args.m, _regular_corpus(args.r, args.nmax))
     elif args.sub == "lemma3.1":
-        st = None
-        if args.s or args.t:
-            st = (_int_list(args.s), _int_list(args.t))
-        results = [
-            theorems.check_lemma_3_1(g, args.k, args.m, st=st)
-            for g in _read_graphs(args)
-        ]
+        results = [theorems.check_lemma_3_1(g, args.k, args.m) for g in _read_graphs(args)]
         ok = all(not res.applicable or res.satisfied for res in results)
         return _batch([res.to_dict() for res in results]), "ok" if ok else "counterexample"
     else:
@@ -288,8 +282,6 @@ def _build_parser() -> _Parser:
     q = vsub.add_parser("lemma3.1", help="structural deficiency certificate")
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--m", type=int, required=True)
-    q.add_argument("--s", default="", help="known optimal S, comma-separated")
-    q.add_argument("--t", default="", help="known optimal T, comma-separated")
     add_graph_arg(q)
     q = vsub.add_parser("ordering", help="cubic root ordering report")
     q.add_argument("--r", type=int, required=True)

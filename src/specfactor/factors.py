@@ -7,6 +7,10 @@ maximum matching yields a maximum subgraph with deg(v) <= f(v), of size nu;
 def = sum(f) - 2*nu, and at def = 0 that subgraph is an f-factor.  At
 k = 1 the gadget is the graph itself.
 
+At def > 0 the missable marks of the same matching give the canonical
+Tutte pair (S, T) with delta_f(S, T) = -def (Lovasz, JCT 8, 1970; Lovasz
+& Plummer, Matching Theory, ch. 10); for f = k, `oracle.delta` checks it.
+
 k-criticality answers all 2n near-factor queries (f = k but k +- 1 at one
 vertex) from one matching of the k-gadget and the missable nodes that the
 same pass returns; `is_k_critical` gives the rule and why it is exact (a
@@ -23,13 +27,18 @@ from typing import Sequence
 from .graph import Graph, as_integer, bits
 from .matching import _max_matching_adj
 
+Pair = tuple[tuple[int, ...], tuple[int, ...]]
+
 
 @dataclass(frozen=True)
 class FactorReport:
+    """edges: some f-factor, if any; barrier: the Tutte pair at deficiency > 0."""
+
     exists: bool
     degrees: tuple[int, ...]
     edges: tuple[tuple[int, int], ...] | None
     deficiency: int
+    barrier: Pair | None
 
 
 def _normalize_spec(g: Graph, spec: Sequence[int]) -> list[int]:
@@ -101,23 +110,40 @@ def _gadget(
     return links, adj, ends_of, slots_of, start
 
 
-def _bounded_subgraph(g: Graph, caps: Sequence[int]) -> list[tuple[int, int]]:
-    """Edges of a maximum subgraph with deg(v) <= caps[v] for every v.
+def _bounded_subgraph(g: Graph, caps: Sequence[int]) -> tuple[list[tuple[int, int]], Pair | None]:
+    """Edges of a maximum subgraph with deg(v) <= caps[v] for every v, and
+    its Tutte pair (S, T) when it misses some cap (else None).
 
     An edge (u, v, p, q) is taken when p is matched to a slot of u and q to
     a slot of v (for a joined edge: its two slots to each other).  A
     maximum matching never leaves p and q both free, and its taken edges
     form a maximum bounded subgraph.
+
+    The pair comes from the same matching's missable marks.  v is low
+    (below caps[v] in some optimal subgraph) when caps[v] > d(v) or its
+    first slot is marked (slots are twins); v is high when a node of
+    ends_of[v] is marked (never when caps[v] >= d(v): such an exposed edge
+    node would meet an exposed slot).  S = high - low, T = low - high.
     """
-    links, adj, _, slots_of, match = _gadget(g, caps)
-    _max_matching_adj(len(adj), adj, match)
+    links, adj, ends_of, slots_of, match = _gadget(g, caps)
+    missable = _max_matching_adj(len(adj), adj, match)
     picked = []
     for u, v, p, q in links:
         if match[p] == -1 and match[q] == -1:
             raise RuntimeError("matching not maximum")
         if match[p] in slots_of[u] and match[q] in slots_of[v]:
             picked.append((u, v))
-    return picked
+    if sum(caps) == 2 * len(picked):
+        return picked, None
+    marked = set(missable)
+    s: list[int] = []
+    t: list[int] = []
+    for v, (slots, ends) in enumerate(zip(slots_of, ends_of)):
+        low = len(slots) < caps[v] or not marked.isdisjoint(slots[:1])
+        high = not marked.isdisjoint(ends)
+        if high != low:
+            (s if high else t).append(v)
+    return picked, (tuple(s), tuple(t))
 
 
 def deficiency(g: Graph, k: int) -> int:
@@ -132,10 +158,11 @@ def has_f_factor(g: Graph, spec: Sequence[int]) -> FactorReport:
     One maximum subgraph with deg(v) <= f(v) gives the deficiency
     sum(f) - 2*nu; it is zero exactly when that subgraph has degree f(v)
     at every v, and then the subgraph is the returned factor (some
-    f-factor, not a canonical one).
+    f-factor, not a canonical one).  Otherwise barrier holds the canonical
+    Tutte pair, with delta_f(S, T) = -deficiency.
     """
     f = _normalize_spec(g, spec)
-    picked = _bounded_subgraph(g, f)
+    picked, barrier = _bounded_subgraph(g, f)
     defect = sum(f) - 2 * len(picked)
     factor: tuple[tuple[int, int], ...] | None = None
     if defect == 0:
@@ -151,6 +178,7 @@ def has_f_factor(g: Graph, spec: Sequence[int]) -> FactorReport:
         degrees=tuple(f),
         edges=factor,
         deficiency=defect,
+        barrier=barrier,
     )
 
 

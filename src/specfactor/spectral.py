@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Graph, adjacency_bits, bits, vertex_mask
+from .graph import Graph, adjacency_bits, as_integer, bits, vertex_mask
 
 # a dense n x n float64 matrix takes 8n^2 bytes: 32 MiB at the cap
 MAX_ORDER = 2048
@@ -211,6 +211,7 @@ def check_class(r: int, m: int, parity: str) -> None:
     graphs with max degree r and 2e >= rn - m: the even family (order
     opposite to r in parity, rho1) and the odd family (order of r's
     parity, rho2)."""
+    r, m = as_integer(r, "r"), as_integer(m, "m")
     if parity == "even":
         if r < 4:
             raise ValueError("even family needs r >= 4")

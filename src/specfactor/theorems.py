@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import oracle
 from .constructions import (
     aux_claw,
     aux_claw_parts,
@@ -24,9 +23,9 @@ from .constructions import (
 )
 from .corpus import random_class_member
 from .factors import is_k_critical, k_factor
-from .graph import Graph, bits, component_masks, induced_subgraph, vertex_mask
+from .graph import Graph, as_integer, bits, component_masks, induced_subgraph, vertex_mask
 from .graph6 import to_graph6
-from .oracle import STPair
+from .oracle import STPair, delta
 from .spectral import (
     _check_order,
     check_class,
@@ -62,6 +61,7 @@ class HypothesisProfile:
 
 
 def classify_hypothesis(r: int, k: int, m: int, n_parity: str = "even") -> HypothesisProfile:
+    r, k, m = as_integer(r, "r"), as_integer(k, "k"), as_integer(m, "m")
     if not 1 <= k < r:
         raise ValueError("need 1 <= k < r")
     if m < 1:
@@ -122,6 +122,7 @@ def _minimality_campaign(
     threshold, extremal: Graph, family: str, r: int, m: int, samples: int, seed: int
 ) -> CampaignReport:
     """Shared body: extremal member attains the threshold, samples stay above."""
+    samples = as_integer(samples, "samples")
     if samples < 0:
         raise ValueError("samples must be non-negative")
     report = CampaignReport(
@@ -304,16 +305,16 @@ def _inapplicable(reason: str) -> Lemma31Result:
     return Lemma31Result(False, reason, None, None, None, (), False)
 
 
-def check_lemma_3_1(g: Graph, k: int, m: int, st: STPair | None = None) -> Lemma31Result:
+def check_lemma_3_1(g: Graph, k: int, m: int) -> Lemma31Result:
     """Exhibit def(G)+1 disjoint induced subgraphs with 2e(H) >= r|H| - (m-1).
 
-    Candidates are components of G - (S u T) for a deficiency-optimal pair;
-    a component C qualifies exactly when e(C, S u T) <= m-1, since regularity
-    gives 2e(C) = r|C| - e(C, S u T).  Every optimal pair is scanned unless
-    the caller supplies one, which graphs above the sweep's 16 vertices
-    need.  The sweep's pair table for n = 16 takes about 172 MB and stays
-    cached.
+    Candidates are components of G - (S u T) for the factor engine's Tutte
+    pair (`k_factor(g, k).barrier`), which `oracle.delta` must confirm
+    attains the deficiency; a component C qualifies exactly when
+    e(C, S u T) <= m-1, since regularity gives 2e(C) = r|C| - e(C, S u T).
+    Fewer than def+1 qualifying components is reported as unsatisfied.
     """
+    k = as_integer(k, "k")
     if g.n == 0 or not g.is_connected():
         return _inapplicable("input graph is not connected")
     if not g.is_regular():
@@ -331,46 +332,22 @@ def check_lemma_3_1(g: Graph, k: int, m: int, st: STPair | None = None) -> Lemma
     if report.exists:
         return _inapplicable("graph has a k-factor")
     defc = report.deficiency
+    pair = STPair(*report.barrier)
+    if delta(g, k, pair).delta != -defc:
+        raise RuntimeError("factor engine's Tutte pair does not attain its deficiency")
 
-    if st is not None:
-        if not isinstance(st, STPair):
-            st = STPair(tuple(st[0]), tuple(st[1]))
-        bd = oracle.delta(g, k, st)
-        if bd.delta != -defc:
-            raise ValueError("supplied (S,T) is not deficiency-optimal")
-        pairs = [st]
-    else:
-        value, pairs = oracle.optimal_pairs(g, k)
-        if value != defc:
-            raise RuntimeError("sweep and factor-engine deficiencies disagree")
-
-    full = (1 << g.n) - 1
-    best_pair = pairs[0]
-    best: list[tuple[int, ...]] = []
-    for pair in pairs:
-        stmask = vertex_mask(g, (*pair.s, *pair.t), "S u T")
-        found = []
-        for comp in component_masks(g, full & ~stmask):
-            vs = tuple(bits(comp))
-            two_e = sum((g.row(v) & comp).bit_count() for v in vs)
-            if two_e >= r * len(vs) - (m - 1):
-                found.append(vs)
-        if len(found) > len(best):
-            best, best_pair = found, pair
-        if len(best) >= defc + 1:
-            break
-
-    for h in best:
+    rest = ((1 << g.n) - 1) & ~vertex_mask(g, (*pair.s, *pair.t), "S u T")
+    found = []
+    for comp in component_masks(g, rest):
+        vs = tuple(bits(comp))
+        two_e = sum((g.row(v) & comp).bit_count() for v in vs)
+        if two_e >= r * len(vs) - (m - 1):
+            found.append(vs)
+    for h in found:
         if 2 * induced_subgraph(g, h).edge_count < r * len(h) - (m - 1):
             raise RuntimeError("lemma 3.1 component fails its edge bound")
     return Lemma31Result(
-        True,
-        None,
-        profile.condition,
-        defc,
-        best_pair,
-        tuple(best),
-        len(best) >= defc + 1,
+        True, None, profile.condition, defc, pair, tuple(found), len(found) >= defc + 1
     )
 
 

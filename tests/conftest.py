@@ -3,7 +3,8 @@
 The naive deficiency reference here recomputes the Tutte functional from
 its definition with a base-3 assignment counter and a union-find rebuilt
 per pair, so the optimized sweep in the package is checked against an
-implementation that shares no code with it.  The cyclic Jacobi solver here
+implementation that shares no code with it; its degree-spec form
+naive_delta_f checks the factor engine's Tutte pairs.  The cyclic Jacobi solver here
 is the reference for the package's eigvalsh spectra, the full-signature
 canonical labeling is the reference for the package's splitter refinement,
 the per-vertex near-factor loop is the reference for the package's
@@ -51,6 +52,13 @@ class _UnionFind:
 
 
 def naive_delta(g: Graph, k: int, s: tuple[int, ...], t: tuple[int, ...]) -> int:
+    return naive_delta_f(g, [k] * g.n, s, t)
+
+
+def naive_delta_f(g: Graph, f, s: tuple[int, ...], t: tuple[int, ...]) -> int:
+    """Lovasz's delta_f(S, T) = f(S) + sum over x in T of d_{G-S}(x) - f(T)
+    - tau, where tau counts the components C of G - (S u T) with
+    e(C, T) + f(C) odd; its minimum over disjoint pairs is -deficiency."""
     n = g.n
     sset, tset = set(s), set(t)
     rest = [v for v in range(n) if v not in sset and v not in tset]
@@ -64,12 +72,12 @@ def naive_delta(g: Graph, k: int, s: tuple[int, ...], t: tuple[int, ...]) -> int
     tau = 0
     for comp in comps.values():
         e_to_t = sum(1 for u, v in g.edges() if (u in comp) != (v in comp) and (u in tset or v in tset))
-        if (e_to_t + k * len(comp)) % 2 == 1:
+        if (e_to_t + sum(f[v] for v in comp)) % 2 == 1:
             tau += 1
     degree_sum = sum(
         sum(1 for w in g.neighbors(x) if w not in sset) for x in t
     )
-    return k * len(s) + degree_sum - k * len(t) - tau
+    return sum(f[v] for v in s) + degree_sum - sum(f[v] for v in t) - tau
 
 
 def naive_deficiency(g: Graph, k: int) -> int:

@@ -104,7 +104,12 @@ def test_criterion_04_engine_agrees_with_exhaustive_oracle(connected_by_n):
             for k in ks:
                 got = engine_deficiency(g, k)
                 assert got == want[k][0], (n, k)
-                assert k_factor(g, k).exists == (got == 0)
+                rep = k_factor(g, k)
+                assert rep.exists == (got == 0)
+                # the engine's Tutte pair certifies every "no" answer
+                assert (rep.barrier is None) == rep.exists
+                if got:
+                    assert delta(g, k, rep.barrier).delta == -got, (n, k)
             checked += 1
     assert checked == 1 + 1 + 2 + 6 + 21 + 112 + 853 + 11117
 
@@ -168,7 +173,8 @@ def test_criterion_09_deficiency_decomposition_sweep():
     # every corpus graph whose parameters satisfy a hypothesis condition,
     # with no k-factor and not k-critical, must decompose; the premise is
     # unsatisfiable at these orders, so the sweep must come back all-clear
-    # and a 16-vertex cubic instance exercises the live path
+    # and a 16-vertex cubic instance exercises the live path, where the
+    # factor engine's Tutte pair puts the hub in S (k = 1) or T (k = 2)
     applicable = 0
     for r, sizes in ((3, (4, 6, 8, 10)), (4, (5, 6, 7, 8, 9, 10))):
         corpus = []
@@ -196,14 +202,16 @@ def test_criterion_09_deficiency_decomposition_sweep():
         edges.append((o + 4, hub))
         base += 5
     vehicle = Graph(16, edges)
-    res1 = check_lemma_3_1(vehicle, 1, 2, st=((hub,), ()))
+    res1 = check_lemma_3_1(vehicle, 1, 2)
     assert res1.applicable and res1.satisfied and res1.deficiency == 2
+    assert (res1.st.s, res1.st.t) == ((hub,), ())
     assert len(res1.subgraphs) >= res1.deficiency + 1
     for sub in res1.subgraphs:
         h = induced_subgraph(vehicle, sub)
         assert 2 * h.edge_count >= 3 * h.n - (2 - 1)
-    res2 = check_lemma_3_1(vehicle, 2, 2, st=((), (hub,)))
+    res2 = check_lemma_3_1(vehicle, 2, 2)
     assert res2.applicable and res2.satisfied
+    assert (res2.st.s, res2.st.t) == ((), (hub,))
 
 
 def test_criterion_10_interlacing_trials():

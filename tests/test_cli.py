@@ -319,6 +319,25 @@ def test_verify_lemma(capsys):
     assert env["payload"]["applicable"] is False
 
 
+# cubic on 22 vertices: three subdivided prisms wired to the hub 21
+_LEMMA_VEHICLE_22 = "U{SXG?@?WA?D?B?C_???@??K??_??g??K??H?_OG"
+
+
+def test_verify_lemma_above_the_sweep_cap(capsys):
+    # the factor engine's Tutte pair answers past 16 vertices, unaided
+    code, env, _ = run_cli(capsys, "verify", "lemma3.1", "--k", "1", "--m", "2", _LEMMA_VEHICLE_22)
+    assert code == 0
+    payload = env["payload"]
+    assert payload["s"] == [21] and payload["t"] == []
+    assert payload["deficiency"] == 2 and payload["satisfied"] is True
+    # a pair can no longer be supplied
+    code, env, err = run_cli(
+        capsys, "verify", "lemma3.1", "--k", "1", "--m", "2", "--s", "21", _LEMMA_VEHICLE_22
+    )
+    assert code == 1 and env["status"] == "error"
+    assert "usage error" in err.err
+
+
 def test_human_rendering(capsys):
     code = main(["--human", "spectrum", "D~{"])
     out = capsys.readouterr()

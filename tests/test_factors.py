@@ -32,7 +32,7 @@ from specfactor import factors, matching
 from specfactor.graph import Graph, join
 from specfactor.oracle import STPair, brute_force_deficiency, delta
 
-from conftest import random_graph, reference_f_factor, reference_is_k_critical
+from conftest import naive_delta_f, random_graph, reference_f_factor, reference_is_k_critical
 
 import pytest
 
@@ -102,6 +102,27 @@ def test_k_must_be_an_integer():
     assert k_factor(complete_graph(4), True).exists
 
 
+def test_barrier_attains_deficiency_for_general_specs():
+    # the Tutte pair read off the matching is optimal: delta_f(S, T) hits
+    # -deficiency, the least value any disjoint pair can take
+    rng = random.Random(7)
+    deficient = zero_cap = over_cap = 0
+    for _ in range(2000):
+        g = random_graph(rng.randrange(1, 11), rng.random(), rng)
+        f = [rng.randrange(5) for _ in range(g.n)]
+        rep = has_f_factor(g, f)
+        assert (rep.barrier is None) == rep.exists
+        if rep.exists:
+            continue
+        s, t = rep.barrier
+        assert not set(s) & set(t)
+        assert naive_delta_f(g, f, s, t) == -rep.deficiency, (g.rows, f)
+        deficient += 1
+        zero_cap += 0 in f
+        over_cap += any(fv > d for fv, d in zip(f, g.degrees()))
+    assert deficient > 1000 and zero_cap > 500 and over_cap > 500
+
+
 def test_factor_certificate_meets_degrees():
     rng = random.Random(11)
     found = 0
@@ -152,7 +173,8 @@ def test_agrees_with_subset_sweep(seed):
 def test_max_bounded_subgraph_respects_caps():
     g = complete_graph(5)
     caps = [1, 2, 2, 1, 0]
-    edges = factors._bounded_subgraph(g, caps)
+    edges, barrier = factors._bounded_subgraph(g, caps)
+    assert barrier is None  # every cap is met
     degs = [0] * 5
     for u, v in edges:
         assert g.has_edge(u, v)
@@ -163,7 +185,10 @@ def test_max_bounded_subgraph_respects_caps():
     assert len(edges) == 3
     # caps (1,..,1) reduces to maximum matching
     for n in range(2, 8):
-        assert len(factors._bounded_subgraph(complete_graph(n), [1] * n)) == n // 2
+        edges, barrier = factors._bounded_subgraph(complete_graph(n), [1] * n)
+        assert len(edges) == n // 2
+        # odd K_n: the one odd component of G - (empty, empty) is the barrier
+        assert barrier == (None if n % 2 == 0 else ((), ()))
 
 
 def _specs(n: int, k: int):

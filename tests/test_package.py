@@ -8,7 +8,10 @@ import re
 import sys
 from pathlib import Path
 
+import pytest
+
 import specfactor
+from specfactor import constructions, corpus, spectral, theorems
 
 
 def test_no_assert_statements_in_package():
@@ -47,6 +50,32 @@ def test_each_input_rule_is_stated_once():
         assert sum(text.count(rule) for text in texts.values()) == 1, rule
 
 
+_NON_INTEGER_CALLS = [
+    (theorems.verify_thm_2_1, (4.0, 2, 3), "r"),
+    (theorems.verify_thm_2_1, (4, 2, 2.5), "samples"),
+    (constructions.extremal_even, (4, 2.0), "m"),
+    (constructions.extremal_odd_m1, (3.0,), "r"),
+    (theorems.ordering_report, (4.0,), "r"),
+    (corpus.random_class_member, (4.0, 2, "even", 0), "r"),
+    (theorems.verify_thm_2_2, (3, 1.0, 3), "m"),
+    (spectral.rho1, (4.0, 2), "r"),
+    (theorems.classify_hypothesis, (4, 1.0, 4), "k"),
+    (theorems.verify_thm_3_2, (4, 1, 4.0, [constructions.complete_graph(5)]), "m"),
+    (theorems.check_lemma_3_1, (constructions.petersen(), "1", 2), "k"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, args, name",
+    _NON_INTEGER_CALLS,
+    ids=[f"{call.__name__}{args}" for call, args, _ in _NON_INTEGER_CALLS],
+)
+def test_class_and_hypothesis_parameters_must_be_integers(call, args, name):
+    # refused through graph.as_integer, not run on floats or failing deep inside
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        call(*args)
+
+
 def test_one_production_eigensolver():
     # eigvalsh is called only from spectral; the Jacobi reference lives in the tests
     found = []
@@ -71,6 +100,31 @@ def test_traced_names_are_bound():
         for ns, attr, *_ in tracing._wrap_points()
         if not hasattr(ns, attr)
     ]
+    assert missing == []
+
+
+def test_workload_names_are_bound():
+    # the benchmark's workloads call the package by module attribute (for
+    # example oracle.optimal_pairs, which no package code calls); each read
+    # of <module>.<name> there must still resolve
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    tree = ast.parse(path.read_text())
+    imported = {
+        a.asname or a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "specfactor"
+        for a in node.names
+    }
+    assert {"cli", "factors", "oracle", "spectral", "theorems"} <= imported
+    missing = [name for name in sorted(imported) if not hasattr(specfactor, name)]
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in imported
+            and not hasattr(getattr(specfactor, node.value.id, None), node.attr)
+        ):
+            missing.append(f"{node.value.id}.{node.attr}")
     assert missing == []
 
 

@@ -19,7 +19,7 @@ from specfactor.constructions import complete_graph, cycle, extremal_odd_m1, ext
 from specfactor.corpus import enumerate_connected_regular
 from specfactor.graph import Graph, disjoint_union
 from specfactor.graph6 import to_graph6
-from specfactor import oracle, theorems
+from specfactor import theorems
 from specfactor.oracle import STPair, brute_force_deficiency
 from specfactor.factors import k_factor
 from specfactor.spectral import cubic_family, eigenvalues, largest_root, rho2
@@ -271,64 +271,58 @@ def test_odd_r_campaign_judges_graphs_outside_the_hypothesis(monkeypatch):
     assert rep.details["variant_supported_by_data"] == {"rho1(r,m-1)": True, "rho2(r,m-2)": False}
 
 
+_VEHICLE_BLOBS = ((0, 1, 2, 3, 4), (5, 6, 7, 8, 9), (10, 11, 12, 13, 14))
+
+
 def test_deficiency_decomposition_on_live_graph():
+    # the factor engine's Tutte pair is the sweep's lone maximizer ({15}, {})
     g = _three_blob_vehicle()
     assert g.is_regular() and g.degree(0) == 3
-    res = check_lemma_3_1(g, 1, 2, st=((15,), ()))
-    assert res.applicable
-    assert res.condition == "iii"
-    assert res.deficiency == 2
-    assert res.satisfied
-    assert len(res.subgraphs) >= 3
-    flat = [v for sub in res.subgraphs for v in sub]
-    assert len(flat) == len(set(flat))
-    for sub in res.subgraphs:
-        h = g
-        sub_edges = sum(1 for u, v in g.edges() if u in sub and v in sub)
-        assert 2 * sub_edges >= 3 * len(sub) - (2 - 1)
-    # a looser deficit bound is also satisfied
-    assert check_lemma_3_1(g, 1, 3, st=((15,), ())).satisfied
+    for m in (2, 3):  # a looser deficit bound is also satisfied
+        res = check_lemma_3_1(g, 1, m)
+        assert res.applicable
+        assert res.condition == "iii"
+        assert res.deficiency == 2
+        assert res.st == STPair((15,), ())
+        assert res.satisfied
+        assert res.subgraphs == _VEHICLE_BLOBS
+        for sub in res.subgraphs:
+            sub_edges = sum(1 for u, v in g.edges() if u in sub and v in sub)
+            assert 2 * sub_edges >= 3 * len(sub) - (m - 1)
 
 
 def test_deficiency_decomposition_even_k_on_same_vehicle():
     # same graph, k = 2: the worst pair puts the hub in the degree-sum side
     g = _three_blob_vehicle()
-    res = check_lemma_3_1(g, 2, 2, st=((), (15,)))
-    assert res.applicable and res.condition == "ii"
-    assert res.deficiency == 2 and res.satisfied
-    assert res.subgraphs == ((0, 1, 2, 3, 4), (5, 6, 7, 8, 9), (10, 11, 12, 13, 14))
+    for m in (2, 3):
+        res = check_lemma_3_1(g, 2, m)
+        assert res.applicable and res.condition == "ii"
+        assert res.st == STPair((), (15,))
+        assert res.deficiency == 2 and res.satisfied
+        assert res.subgraphs == _VEHICLE_BLOBS
 
 
-def test_deficiency_decomposition_needs_pair_above_sweep_cap():
-    # auto-search sweeps all disjoint pairs, which covers 16 vertices: it
-    # finds the lone maximizer ({15}, {}) here
-    g = _three_blob_vehicle()
-    res = check_lemma_3_1(g, 1, 2)
-    assert res.st == STPair((15,), ()) and res.satisfied
-    # prisms with one edge subdivided as blobs: cubic on 22 vertices, so
-    # the caller must supply the worst pair
+def test_deficiency_decomposition_above_the_sweep_cap():
+    # prisms with one edge subdivided as blobs: cubic on 22 vertices, past
+    # the sweep's 16, and answered from the factor engine's pair alone
     big = _three_blob_vehicle(((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5),
                                (0, 3), (1, 4), (2, 6), (5, 6)))
     assert big.n == 22 and big.is_regular() and big.degree(0) == 3
-    with pytest.raises(ValueError, match="16"):
-        check_lemma_3_1(big, 1, 2)
-    res = check_lemma_3_1(big, 1, 2, st=((21,), ()))
+    res = check_lemma_3_1(big, 1, 2)
     assert res.st == STPair((21,), ()) and res.deficiency == 2 and res.satisfied
+    assert res.subgraphs == tuple(tuple(range(o, o + 7)) for o in (0, 7, 14))
 
 
-def test_lemma_sweep_disagreement_raises(monkeypatch):
-    # the engine finds deficiency 2; a sweep one off must not go unnoticed
-    monkeypatch.setattr(oracle, "optimal_pairs", lambda g, k: (3, [STPair((15,), ())]))
-    with pytest.raises(RuntimeError, match="sweep and factor-engine deficiencies disagree"):
+def test_lemma_rejects_an_engine_pair_that_misses_the_deficiency(monkeypatch):
+    # oracle.delta rechecks the engine's pair; a wrong one must not go unnoticed
+    real = theorems.k_factor
+
+    def wrong_pair(g, k):
+        return dataclasses.replace(real(g, k), barrier=((0,), (1,)))
+
+    monkeypatch.setattr(theorems, "k_factor", wrong_pair)
+    with pytest.raises(RuntimeError, match="does not attain its deficiency"):
         check_lemma_3_1(_three_blob_vehicle(), 1, 2)
-
-
-def test_deficiency_decomposition_validates_given_pair():
-    g = _three_blob_vehicle()
-    with pytest.raises(ValueError):
-        check_lemma_3_1(g, 1, 2, st=((0,), (1,)))  # not a worst pair
-    res = check_lemma_3_1(g, 1, 2, st=STPair((15,), ()))
-    assert res.satisfied
 
 
 def test_deficiency_decomposition_gates():
