@@ -18,6 +18,7 @@ when neither is given, the graph6 lines of stdin.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -44,6 +45,8 @@ class _Parser(argparse.ArgumentParser):
 def _sanitize(obj):
     if isinstance(obj, float):
         return 0.0 if abs(obj) < 1e-12 else float(f"{obj:.12g}")
+    if dataclasses.is_dataclass(obj):  # fields in order are the payload keys
+        obj = dataclasses.asdict(obj)
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -74,12 +77,12 @@ def _read_graphs(args) -> list[Graph]:
     return graphs
 
 
-def _batch(results: list[dict]) -> dict:
+def _batch(results: list):
     """One result is the payload itself; several go under "results"."""
     return results[0] if len(results) == 1 else {"results": results}
 
 
-def _per_graph(args, fn) -> dict:
+def _per_graph(args, fn):
     return _batch([fn(g) for g in _read_graphs(args)])
 
 
@@ -105,8 +108,7 @@ def _cmd_spectrum(args):
 
 def _cmd_threshold(args):
     fn = spectral.rho1 if args.family == "rho1" else spectral.rho2
-    t = fn(args.r, args.m)
-    return {"value": t.value, "kind": t.kind, "r": t.r, "m": t.m}, "ok"
+    return fn(args.r, args.m), "ok"
 
 
 def _cmd_extremal(args):
@@ -158,19 +160,10 @@ def _cmd_oracle(args):
     def one(g: Graph) -> dict:
         if args.sub == "delta":
             s, t = _int_list(args.s), _int_list(args.t)
-            bd = oracle.delta(g, args.k, (s, t))
-            return {
-                "s": list(s),
-                "t": list(t),
-                "k_s": bd.k_s,
-                "degree_sum": bd.degree_sum,
-                "k_t": bd.k_t,
-                "tau": bd.tau,
-                "delta": bd.delta,
-            }
+            return {"s": s, "t": t, **dataclasses.asdict(oracle.delta(g, args.k, (s, t)))}
         if args.sub == "deficiency":
             value, pair = oracle.brute_force_deficiency(g, args.k)
-            return {"deficiency": value, "s": list(pair.s), "t": list(pair.t)}
+            return {"deficiency": value, **dataclasses.asdict(pair)}
         return {"exists": oracle.brute_force_has_k_factor(g, args.k)}
 
     return _per_graph(args, one), "ok"
@@ -196,7 +189,7 @@ def _cmd_verify(args):
     elif args.sub == "lemma3.1":
         results = [theorems.check_lemma_3_1(g, args.k, args.m) for g in _read_graphs(args)]
         ok = all(not res.applicable or res.satisfied for res in results)
-        return _batch([res.to_dict() for res in results]), "ok" if ok else "counterexample"
+        return _batch(results), "ok" if ok else "counterexample"
     else:
         rep = theorems.ordering_report(args.r)
         return rep, "ok" if rep["min_is_f1"] else "counterexample"

@@ -35,7 +35,6 @@ class FactorReport:
     """edges: some f-factor, if any; barrier: the Tutte pair at deficiency > 0."""
 
     exists: bool
-    degrees: tuple[int, ...]
     edges: tuple[tuple[int, int], ...] | None
     deficiency: int
     barrier: Pair | None
@@ -175,7 +174,6 @@ def has_f_factor(g: Graph, spec: Sequence[int]) -> FactorReport:
             raise RuntimeError("factor does not meet its degree spec")
     return FactorReport(
         exists=factor is not None,
-        degrees=tuple(f),
         edges=factor,
         deficiency=defect,
         barrier=barrier,

@@ -9,7 +9,7 @@ never a crash.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .constructions import (
     aux_claw,
@@ -25,7 +25,7 @@ from .corpus import random_class_member
 from .factors import is_k_critical, k_factor
 from .graph import Graph, as_integer, bits, component_masks, induced_subgraph, vertex_mask
 from .graph6 import to_graph6
-from .oracle import STPair, delta
+from .oracle import delta
 from .spectral import (
     _check_order,
     check_class,
@@ -98,16 +98,7 @@ class CampaignReport:
         return not self.counterexamples
 
     def to_dict(self) -> dict:
-        return {
-            "corpus": self.corpus,
-            "tested": self.tested,
-            "hypothesis_count": self.hypothesis_count,
-            "conclusion_count": self.conclusion_count,
-            "counterexamples": list(self.counterexamples),
-            "margins": dict(self.margins),
-            "details": self.details,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def _margin_stats(margins: list[float]) -> dict[str, float]:
@@ -223,13 +214,11 @@ def _regular_campaign(r: int, k: int, threshold: float, corpus):
 def verify_thm_3_2(r: int, k: int, m: int, corpus) -> CampaignReport:
     """Regular graphs: small lambda2 (odd order) forces k-criticality, small
     lambda3 (even order) forces a k-factor; threshold rho1(r, m0 - 1)."""
-    if r % 2 != 0 or k % 2 != 1 or not 1 <= k < r:
-        raise ValueError("need r even and odd k with 1 <= k < r")
     if m < 3:  # (6, 3, 2) meets condition (i), but rho1(r, m0 - 1) needs m0 >= 3
         raise ValueError("need m >= 3")
     profile = classify_hypothesis(r, k, m, "even")
     if profile.condition != "i":
-        raise ValueError("need r <= k*m <= r*(m-1)")
+        raise ValueError("need r even, k odd and r <= k*m <= r*(m-1)")
     m0 = profile.m0
     threshold = rho1(r, m0 - 1)
     report, _ = _regular_campaign(r, k, threshold.value, corpus)
@@ -250,7 +239,7 @@ def verify_thm_3_2(r: int, k: int, m: int, corpus) -> CampaignReport:
 def verify_thm_3_3(r: int, k: int, m: int, corpus) -> CampaignReport:
     """Odd-r regular graphs: lambda3 below the m-parity threshold forces a k-factor."""
     profile = classify_hypothesis(r, k, m, "even")
-    if r % 2 != 1 or profile.condition not in ("ii", "iii"):
+    if profile.condition not in ("ii", "iii"):
         raise ValueError("need r odd and condition (ii) or (iii) to hold")
     if m % 2 == 1:
         stated = rho1_value(r, m - 1)
@@ -284,25 +273,14 @@ class Lemma31Result:
     reason: str | None
     condition: str | None
     deficiency: int | None
-    st: STPair | None
+    s: tuple[int, ...] | None
+    t: tuple[int, ...] | None
     subgraphs: tuple[tuple[int, ...], ...]
     satisfied: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "applicable": self.applicable,
-            "reason": self.reason,
-            "condition": self.condition,
-            "deficiency": self.deficiency,
-            "s": None if self.st is None else list(self.st.s),
-            "t": None if self.st is None else list(self.st.t),
-            "subgraphs": [list(h) for h in self.subgraphs],
-            "satisfied": self.satisfied,
-        }
-
 
 def _inapplicable(reason: str) -> Lemma31Result:
-    return Lemma31Result(False, reason, None, None, None, (), False)
+    return Lemma31Result(False, reason, None, None, None, None, (), False)
 
 
 def check_lemma_3_1(g: Graph, k: int, m: int) -> Lemma31Result:
@@ -332,11 +310,11 @@ def check_lemma_3_1(g: Graph, k: int, m: int) -> Lemma31Result:
     if report.exists:
         return _inapplicable("graph has a k-factor")
     defc = report.deficiency
-    pair = STPair(*report.barrier)
-    if delta(g, k, pair).delta != -defc:
+    s, t = report.barrier
+    if delta(g, k, report.barrier).delta != -defc:
         raise RuntimeError("factor engine's Tutte pair does not attain its deficiency")
 
-    rest = ((1 << g.n) - 1) & ~vertex_mask(g, (*pair.s, *pair.t), "S u T")
+    rest = ((1 << g.n) - 1) & ~vertex_mask(g, (*s, *t), "S u T")
     found = []
     for comp in component_masks(g, rest):
         vs = tuple(bits(comp))
@@ -347,7 +325,7 @@ def check_lemma_3_1(g: Graph, k: int, m: int) -> Lemma31Result:
         if 2 * induced_subgraph(g, h).edge_count < r * len(h) - (m - 1):
             raise RuntimeError("lemma 3.1 component fails its edge bound")
     return Lemma31Result(
-        True, None, profile.condition, defc, pair, tuple(found), len(found) >= defc + 1
+        True, None, profile.condition, defc, s, t, tuple(found), len(found) >= defc + 1
     )
 
 

@@ -204,14 +204,14 @@ def test_criterion_09_deficiency_decomposition_sweep():
     vehicle = Graph(16, edges)
     res1 = check_lemma_3_1(vehicle, 1, 2)
     assert res1.applicable and res1.satisfied and res1.deficiency == 2
-    assert (res1.st.s, res1.st.t) == ((hub,), ())
+    assert (res1.s, res1.t) == ((hub,), ())
     assert len(res1.subgraphs) >= res1.deficiency + 1
     for sub in res1.subgraphs:
         h = induced_subgraph(vehicle, sub)
         assert 2 * h.edge_count >= 3 * h.n - (2 - 1)
     res2 = check_lemma_3_1(vehicle, 2, 2)
     assert res2.applicable and res2.satisfied
-    assert (res2.st.s, res2.st.t) == ((), (hub,))
+    assert (res2.s, res2.t) == ((), (hub,))
 
 
 def test_criterion_10_interlacing_trials():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import shlex
@@ -16,6 +17,9 @@ from specfactor.cli import main
 from specfactor.constructions import cycle
 from specfactor.graph import Graph
 from specfactor.graph6 import to_graph6
+from specfactor.oracle import DeltaBreakdown, STPair
+from specfactor.spectral import SpectralThreshold
+from specfactor.theorems import CampaignReport, Lemma31Result
 
 
 def run_cli(capsys, *argv, stdin=None, monkeypatch=None):
@@ -197,6 +201,13 @@ def test_oracle_delta_refuses_a_negative_k(capsys):
     assert env["payload"]["error"] == "k must be non-negative"
 
 
+def test_oracle_delta_refuses_a_non_integer_vertex(capsys):
+    code, env, out = run_cli(capsys, "oracle", "delta", "--k", "1", "--s", "0,x", "Cl")
+    assert code == 1 and env["status"] == "error"
+    assert env["payload"]["error"] == "expected a comma-separated integer list, got '0,x'"
+    assert out.err.startswith("usage error: ")
+
+
 def test_empty_stdin_is_a_usage_error(capsys, monkeypatch):
     code, env, err = run_cli(capsys, "spectrum", stdin="", monkeypatch=monkeypatch)
     assert code == 1
@@ -338,12 +349,49 @@ def test_verify_lemma_above_the_sweep_cap(capsys):
     assert "usage error" in err.err
 
 
+def _field_names(cls) -> list[str]:
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (("threshold", "--family", "rho2", "--r", "5", "--m", "3"), _field_names(SpectralThreshold)),
+        (("oracle", "delta", "--k", "1", "--s", "0", "--t", "1", "Cl"),
+         ["s", "t", *_field_names(DeltaBreakdown)]),
+        (("oracle", "deficiency", "--k", "2", "Ch"), ["deficiency", *_field_names(STPair)]),
+        (("verify", "thm2.1", "--r", "4", "--m", "2", "--samples", "0"),
+         [*_field_names(CampaignReport), "passed"]),
+        (("verify", "lemma3.1", "--k", "1", "--m", "2", "D~{"), _field_names(Lemma31Result)),
+        (("verify", "lemma3.1", "--k", "1", "--m", "2", _LEMMA_VEHICLE_22),
+         _field_names(Lemma31Result)),
+    ],
+    ids=["threshold", "oracle-delta", "oracle-deficiency", "thm2.1", "lemma-inapplicable", "lemma-applicable"],
+)
+def test_payload_keys_are_the_report_fields(capsys, argv, keys):
+    # each payload is its report dataclass, serialized field by field in order
+    code, env, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert list(env["payload"]) == keys
+
+
 def test_human_rendering(capsys):
     code = main(["--human", "spectrum", "D~{"])
     out = capsys.readouterr()
     assert code == 0
     assert "eigenvalues" in out.out
     assert not out.out.strip().startswith("{")
+
+
+def test_human_rendering_numbers_lists_of_containers(capsys):
+    assert main(["--human", "factor", "--k", "1", "Cl"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3:] == ["  edges: [2 items]", "    0: [0, 1]", "    1: [2, 3]"]
+    # a report dataclass renders field by field, its tuples as lists
+    assert main(["--human", "verify", "lemma3.1", "--k", "1", "--m", "2", _LEMMA_VEHICLE_22]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[8:11] == ["  s: [21]", "  t: []", "  subgraphs: [3 items]"]
+    assert lines[11] == "    0: [0, 1, 2, 3, 4, 5, 6]"
 
 
 def test_console_script_installed():

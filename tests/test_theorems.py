@@ -20,7 +20,7 @@ from specfactor.corpus import enumerate_connected_regular
 from specfactor.graph import Graph, disjoint_union
 from specfactor.graph6 import to_graph6
 from specfactor import theorems
-from specfactor.oracle import STPair, brute_force_deficiency
+from specfactor.oracle import brute_force_deficiency
 from specfactor.factors import k_factor
 from specfactor.spectral import cubic_family, eigenvalues, largest_root, rho2
 from specfactor.theorems import (
@@ -225,6 +225,49 @@ def test_odd_r_campaign_domain():
         verify_thm_3_3(3, 2, 3, [])
 
 
+def _reaches_the_corpus(campaign, r, k, m) -> bool:
+    # the corpus is checked only after every hypothesis rule has passed
+    try:
+        campaign(r, k, m, [])
+    except ValueError as exc:
+        return str(exc) == "corpus must contain at least one graph"
+    raise AssertionError("an empty corpus was accepted")
+
+
+def test_regular_campaigns_need_no_second_parity_check():
+    # condition (i) already needs r even, k odd and 1 <= k < r, and
+    # conditions (ii) and (iii) need r odd, so neither campaign restates them
+    accepted = {"3.2": 0, "3.3": 0}
+    for r in range(2, 13):
+        for k in range(-1, r + 2):
+            for m in range(-1, r + 4):
+                if _reaches_the_corpus(verify_thm_3_2, r, k, m):
+                    assert r % 2 == 0 and k % 2 == 1 and 1 <= k < r and m >= 3
+                    accepted["3.2"] += 1
+                if _reaches_the_corpus(verify_thm_3_3, r, k, m):
+                    assert r % 2 == 1 and 1 <= k < r
+                    accepted["3.3"] += 1
+    # the counts from when both campaigns also re-checked the parities
+    assert accepted == {"3.2": 126, "3.3": 236}
+
+
+def test_class_campaign_can_fail(monkeypatch):
+    # a planted threshold 0.05 above rho1 refutes the extremal member and
+    # every sample that sits within 0.05 of it
+    real = theorems.rho1
+
+    def raised(r, m):
+        t = real(r, m)
+        return dataclasses.replace(t, value=t.value + 0.05)
+
+    monkeypatch.setattr(theorems, "rho1", raised)
+    rep = verify_thm_2_1(4, 2, 20, seed=0)
+    assert (rep.tested, rep.conclusion_count) == (21, 17)
+    assert not rep.passed and rep.details["extremal_attained"] is False
+    assert rep.counterexamples == ["D~w", "D|{", "D~k", "D~s"]
+    assert rep.counterexamples[0] == rep.details["extremal_graph6"]
+
+
 # K4 with its edge 2-3 subdivided by vertex 4
 _K4_SUBDIVIDED = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4))
 
@@ -283,7 +326,7 @@ def test_deficiency_decomposition_on_live_graph():
         assert res.applicable
         assert res.condition == "iii"
         assert res.deficiency == 2
-        assert res.st == STPair((15,), ())
+        assert (res.s, res.t) == ((15,), ())
         assert res.satisfied
         assert res.subgraphs == _VEHICLE_BLOBS
         for sub in res.subgraphs:
@@ -297,7 +340,7 @@ def test_deficiency_decomposition_even_k_on_same_vehicle():
     for m in (2, 3):
         res = check_lemma_3_1(g, 2, m)
         assert res.applicable and res.condition == "ii"
-        assert res.st == STPair((), (15,))
+        assert (res.s, res.t) == ((), (15,))
         assert res.deficiency == 2 and res.satisfied
         assert res.subgraphs == _VEHICLE_BLOBS
 
@@ -309,7 +352,7 @@ def test_deficiency_decomposition_above_the_sweep_cap():
                                (0, 3), (1, 4), (2, 6), (5, 6)))
     assert big.n == 22 and big.is_regular() and big.degree(0) == 3
     res = check_lemma_3_1(big, 1, 2)
-    assert res.st == STPair((21,), ()) and res.deficiency == 2 and res.satisfied
+    assert (res.s, res.t) == ((21,), ()) and res.deficiency == 2 and res.satisfied
     assert res.subgraphs == tuple(tuple(range(o, o + 7)) for o in (0, 7, 14))
 
 
