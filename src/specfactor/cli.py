@@ -82,10 +82,6 @@ def _batch(results: list):
     return results[0] if len(results) == 1 else {"results": results}
 
 
-def _per_graph(args, fn):
-    return _batch([fn(g) for g in _read_graphs(args)])
-
-
 def _int_list(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
@@ -96,22 +92,28 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise UsageError(f"expected a comma-separated integer list, got {text!r}")
 
 
-# -- subcommand bodies: each returns (payload, status) ----------------------
+# -- command bodies: each run(args) returns (payload, status) ---------------
 
 
-def _cmd_spectrum(args):
-    def one(g: Graph) -> dict:
-        return {"n": g.n, "eigenvalues": list(spectral.eigenvalues(g))}
-
-    return _per_graph(args, one), "ok"
+def _per_graph(fn):
+    """The run of a command that answers fn(graph, args) for each input graph."""
+    return lambda args: (_batch([fn(g, args) for g in _read_graphs(args)]), "ok")
 
 
-def _cmd_threshold(args):
-    fn = spectral.rho1 if args.family == "rho1" else spectral.rho2
-    return fn(args.r, args.m), "ok"
+def _verdict(payload, passed: bool):
+    return payload, "ok" if passed else "counterexample"
 
 
-def _cmd_extremal(args):
+def _judged(report):
+    """A campaign's payload and status: a counterexample unless it passed."""
+    return _verdict(report.to_dict(), report.passed)
+
+
+def _graph6s(graphs: list[Graph]):
+    return {"count": len(graphs), "graphs": [to_graph6(g) for g in graphs]}, "ok"
+
+
+def _extremal(args):
     params = {k: getattr(args, k) for k in ("n", "r", "m") if getattr(args, k) is not None}
     if args.lengths:
         params["lengths"] = _int_list(args.lengths)
@@ -126,47 +128,32 @@ def _cmd_extremal(args):
             raise ValueError(f"--{name} gives {size} or more vertices, above the cap of {cap}")
     g = constructions.build(args.family, **params)
     lambda1 = spectral.eigenvalues(g)[0] if g.n else None
-    payload = {
+    return {
         "params": {"family": args.family, **params},
         "graph6": to_graph6(g),
         "n": g.n,
         "edges": g.edge_count,
         "lambda1": lambda1,
+    }, "ok"
+
+
+def _factor(g: Graph, args) -> dict:
+    rep = factors.k_factor(g, args.k)
+    return {
+        "exists": rep.exists,
+        "deficiency": rep.deficiency,
+        "edges": [list(e) for e in rep.edges] if rep.exists else None,
     }
-    return payload, "ok"
 
 
-def _cmd_factor(args):
-    def one(g: Graph) -> dict:
-        rep = factors.k_factor(g, args.k)
-        return {
-            "exists": rep.exists,
-            "deficiency": rep.deficiency,
-            "edges": [list(e) for e in rep.edges] if rep.exists else None,
-        }
-
-    return _per_graph(args, one), "ok"
+def _oracle_delta(g: Graph, args) -> dict:
+    s, t = _int_list(args.s), _int_list(args.t)
+    return {"s": s, "t": t, **dataclasses.asdict(oracle.delta(g, args.k, (s, t)))}
 
 
-def _cmd_deficiency(args):
-    return _per_graph(args, lambda g: {"deficiency": factors.deficiency(g, args.k)}), "ok"
-
-
-def _cmd_critical(args):
-    return _per_graph(args, lambda g: {"critical": factors.is_k_critical(g, args.k)}), "ok"
-
-
-def _cmd_oracle(args):
-    def one(g: Graph) -> dict:
-        if args.sub == "delta":
-            s, t = _int_list(args.s), _int_list(args.t)
-            return {"s": s, "t": t, **dataclasses.asdict(oracle.delta(g, args.k, (s, t)))}
-        if args.sub == "deficiency":
-            value, pair = oracle.brute_force_deficiency(g, args.k)
-            return {"deficiency": value, **dataclasses.asdict(pair)}
-        return {"exists": oracle.brute_force_has_k_factor(g, args.k)}
-
-    return _per_graph(args, one), "ok"
+def _oracle_deficiency(g: Graph, args) -> dict:
+    value, pair = oracle.brute_force_deficiency(g, args.k)
+    return {"deficiency": value, **dataclasses.asdict(pair)}
 
 
 def _regular_corpus(r: int, nmax: int) -> list[Graph]:
@@ -177,139 +164,89 @@ def _regular_corpus(r: int, nmax: int) -> list[Graph]:
     return out
 
 
-def _cmd_verify(args):
-    if args.sub == "thm2.1":
-        report = theorems.verify_thm_2_1(args.r, args.m, args.samples, seed=args.seed)
-    elif args.sub == "thm2.2":
-        report = theorems.verify_thm_2_2(args.r, args.m, args.samples, seed=args.seed)
-    elif args.sub == "thm3.2":
-        report = theorems.verify_thm_3_2(args.r, args.k, args.m, _regular_corpus(args.r, args.nmax))
-    elif args.sub == "thm3.3":
-        report = theorems.verify_thm_3_3(args.r, args.k, args.m, _regular_corpus(args.r, args.nmax))
-    elif args.sub == "lemma3.1":
-        results = [theorems.check_lemma_3_1(g, args.k, args.m) for g in _read_graphs(args)]
-        ok = all(not res.applicable or res.satisfied for res in results)
-        return _batch(results), "ok" if ok else "counterexample"
-    else:
-        rep = theorems.ordering_report(args.r)
-        return rep, "ok" if rep["min_is_f1"] else "counterexample"
-    return report.to_dict(), "ok" if report.passed else "counterexample"
+def _lemma(args):
+    results = [theorems.check_lemma_3_1(g, args.k, args.m) for g in _read_graphs(args)]
+    return _verdict(_batch(results), all(not res.applicable or res.satisfied for res in results))
 
 
-def _cmd_gen(args):
-    if args.sub == "connected":
-        graphs = corpus.enumerate_connected_graphs(args.n)
-    elif args.sub == "regular":
-        graphs = corpus.enumerate_connected_regular(args.n, args.r)
-    elif args.sub == "random-regular":
-        graphs = [corpus.random_regular(args.n, args.r, args.seed)]
-    else:
-        graphs = [
-            corpus.random_class_member(args.r, args.m, args.parity, args.seed)
-        ]
-    return {"count": len(graphs), "graphs": [to_graph6(g) for g in graphs]}, "ok"
+def _ordering(args):
+    rep = theorems.ordering_report(args.r)
+    return _verdict(rep, rep["min_is_f1"])
 
 
 def _build_parser() -> _Parser:
     top = _Parser(prog="specfactor", description=__doc__.splitlines()[0])
-    top.add_argument("--human", action="store_true", help="plain text instead of JSON")
+    human_help = "plain text instead of JSON"
+    top.add_argument("--human", action="store_true", help=human_help)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_graph_arg(p):
-        p.add_argument("graph", nargs="?", help="graph6 string; stdin lines if neither it nor --file is given")
-        p.add_argument("--file", metavar="PATH", help="file of graph6 lines, one graph per line")
+    def group(name, helptext):
+        return sub.add_parser(name, help=helptext).add_subparsers(dest="sub", required=True)
 
-    p = sub.add_parser("spectrum", help="adjacency eigenvalues, descending")
-    add_graph_arg(p)
+    def leaf(parent, name, helptext, run, *ints, graph=False, **defaults):
+        """Declare one command: integer flags are required unless given a default."""
+        p = parent.add_parser(name, help=helptext)
+        p.set_defaults(run=run, command=p.prog.partition(" ")[2])
+        # SUPPRESS keeps a leaf without the flag from resetting a top-level one
+        p.add_argument("--human", action="store_true", default=argparse.SUPPRESS, help=human_help)
+        for flag in ints:
+            required = flag not in defaults
+            p.add_argument(f"--{flag}", type=int, required=required, default=defaults.get(flag))
+        if graph:
+            p.add_argument("graph", nargs="?",
+                           help="graph6 string; stdin lines if neither it nor --file is given")
+            p.add_argument("--file", metavar="PATH",
+                           help="file of graph6 lines, one graph per line")
+        return p
 
-    p = sub.add_parser("threshold", help="registered spectral threshold value")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    spectrum = _per_graph(lambda g, a: {"n": g.n, "eigenvalues": list(spectral.eigenvalues(g))})
+    leaf(sub, "spectrum", "adjacency eigenvalues, descending", spectrum, graph=True)
+    p = leaf(sub, "threshold", "registered spectral threshold value",
+             lambda a: (getattr(spectral, a.family)(a.r, a.m), "ok"), "r", "m")
     p.add_argument("--family", choices=["rho1", "rho2"], required=True)
-
-    p = sub.add_parser("extremal", help="build a named construction")
+    p = leaf(sub, "extremal", "build a named construction", _extremal,
+             "n", "r", "m", n=None, r=None, m=None)
     p.add_argument("--family", required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--m", type=int)
     p.add_argument("--lengths", help="comma-separated cycle lengths")
+    leaf(sub, "factor", "k-factor existence and edges", _per_graph(_factor), "k", graph=True)
+    leaf(sub, "deficiency", "k-deficiency via the matching reduction",
+         _per_graph(lambda g, a: {"deficiency": factors.deficiency(g, a.k)}), "k", graph=True)
+    leaf(sub, "critical", "k-criticality test",
+         _per_graph(lambda g, a: {"critical": factors.is_k_critical(g, a.k)}), "k", graph=True)
 
-    for name, helptext in (
-        ("factor", "k-factor existence and edges"),
-        ("deficiency", "k-deficiency via the matching reduction"),
-        ("critical", "k-criticality test"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--k", type=int, required=True)
-        add_graph_arg(p)
-
-    p = sub.add_parser("oracle", help="exhaustive Tutte-condition evaluations")
-    osub = p.add_subparsers(dest="sub", required=True)
-    q = osub.add_parser("delta", help="evaluate one (S,T) pair")
-    q.add_argument("--k", type=int, required=True)
+    osub = group("oracle", "exhaustive Tutte-condition evaluations")
+    q = leaf(osub, "delta", "evaluate one (S,T) pair", _per_graph(_oracle_delta), "k", graph=True)
     q.add_argument("--s", default="", help="comma-separated vertex list")
     q.add_argument("--t", default="", help="comma-separated vertex list")
-    add_graph_arg(q)
-    for name, helptext in (
-        ("deficiency", "sweep all (S,T) pairs for the deficiency"),
-        ("factor", "k-factor existence by exhaustive sweep"),
-    ):
-        q = osub.add_parser(name, help=helptext)
-        q.add_argument("--k", type=int, required=True)
-        add_graph_arg(q)
+    leaf(osub, "deficiency", "sweep all (S,T) pairs for the deficiency",
+         _per_graph(_oracle_deficiency), "k", graph=True)
+    exists = _per_graph(lambda g, a: {"exists": oracle.brute_force_has_k_factor(g, a.k)})
+    leaf(osub, "factor", "k-factor existence by exhaustive sweep", exists, "k", graph=True)
 
-    p = sub.add_parser("verify", help="run a verification campaign")
-    vsub = p.add_subparsers(dest="sub", required=True)
-    for name in ("thm2.1", "thm2.2"):
-        q = vsub.add_parser(name, help="class-minimality campaign")
-        q.add_argument("--r", type=int, required=True)
-        q.add_argument("--m", type=int, required=True)
-        q.add_argument("--samples", type=int, default=500)
-        q.add_argument("--seed", type=int, default=0)
-    for name in ("thm3.2", "thm3.3"):
-        q = vsub.add_parser(name, help="eigenvalue-to-factor sweep over regular corpora")
-        q.add_argument("--r", type=int, required=True)
-        q.add_argument("--k", type=int, required=True)
-        q.add_argument("--m", type=int, required=True)
-        q.add_argument("--nmax", type=int, default=10)
-    q = vsub.add_parser("lemma3.1", help="structural deficiency certificate")
-    q.add_argument("--k", type=int, required=True)
-    q.add_argument("--m", type=int, required=True)
-    add_graph_arg(q)
-    q = vsub.add_parser("ordering", help="cubic root ordering report")
-    q.add_argument("--r", type=int, required=True)
+    vsub = group("verify", "run a verification campaign")
+    for name, fn in (("thm2.1", theorems.verify_thm_2_1), ("thm2.2", theorems.verify_thm_2_2)):
+        leaf(vsub, name, "class-minimality campaign",
+             lambda a, fn=fn: _judged(fn(a.r, a.m, a.samples, seed=a.seed)),
+             "r", "m", "samples", "seed", samples=500, seed=0)
+    for name, fn in (("thm3.2", theorems.verify_thm_3_2), ("thm3.3", theorems.verify_thm_3_3)):
+        leaf(vsub, name, "eigenvalue-to-factor sweep over regular corpora",
+             lambda a, fn=fn: _judged(fn(a.r, a.k, a.m, _regular_corpus(a.r, a.nmax))),
+             "r", "k", "m", "nmax", nmax=10)
+    leaf(vsub, "lemma3.1", "structural deficiency certificate", _lemma, "k", "m", graph=True)
+    leaf(vsub, "ordering", "cubic root ordering report", _ordering, "r")
 
-    p = sub.add_parser("gen", help="emit graph corpora as graph6")
-    gsub = p.add_subparsers(dest="sub", required=True)
-    q = gsub.add_parser("connected", help="all connected graphs on n vertices")
-    q.add_argument("--n", type=int, required=True)
-    q = gsub.add_parser("regular", help="all connected r-regular graphs on n vertices")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--r", type=int, required=True)
-    q = gsub.add_parser("random-regular", help="one pairing-model regular graph")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--r", type=int, required=True)
-    q.add_argument("--seed", type=int, default=0)
-    q = gsub.add_parser("class-member", help="one sampled irregular class member")
-    q.add_argument("--r", type=int, required=True)
-    q.add_argument("--m", type=int, required=True)
+    gsub = group("gen", "emit graph corpora as graph6")
+    leaf(gsub, "connected", "all connected graphs on n vertices",
+         lambda a: _graph6s(corpus.enumerate_connected_graphs(a.n)), "n")
+    leaf(gsub, "regular", "all connected r-regular graphs on n vertices",
+         lambda a: _graph6s(corpus.enumerate_connected_regular(a.n, a.r)), "n", "r")
+    leaf(gsub, "random-regular", "one pairing-model regular graph",
+         lambda a: _graph6s([corpus.random_regular(a.n, a.r, a.seed)]), "n", "r", "seed", seed=0)
+    q = leaf(gsub, "class-member", "one sampled irregular class member",
+             lambda a: _graph6s([corpus.random_class_member(a.r, a.m, a.parity, a.seed)]),
+             "r", "m", "seed", seed=0)
     q.add_argument("--parity", choices=["even", "odd"], default="even")
-    q.add_argument("--seed", type=int, default=0)
-
     return top
-
-
-_HANDLERS = {
-    "spectrum": _cmd_spectrum,
-    "threshold": _cmd_threshold,
-    "extremal": _cmd_extremal,
-    "factor": _cmd_factor,
-    "deficiency": _cmd_deficiency,
-    "critical": _cmd_critical,
-    "oracle": _cmd_oracle,
-    "verify": _cmd_verify,
-    "gen": _cmd_gen,
-}
 
 
 def _emit(command: str, status: str, payload, human: bool) -> None:
@@ -351,13 +288,10 @@ def main(argv: list[str] | None = None) -> int:
     human = "--human" in argv
     try:
         args, extra = parser.parse_known_args(argv)
-        human = args.human
-        command = args.command
-        if getattr(args, "sub", None):
-            command = f"{args.command} {args.sub}"
+        human, command = args.human, args.command
         if extra:
             raise UsageError(f"unrecognized arguments: {' '.join(extra)}")
-        payload, status = _HANDLERS[args.command](args)
+        payload, status = args.run(args)
     except UsageError as exc:
         command = exc.command or command
         print(f"usage error: {exc}", file=sys.stderr)

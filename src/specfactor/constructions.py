@@ -8,14 +8,12 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .graph import Graph, complement, disjoint_union, join
+from .graph import Graph, as_count, complement, disjoint_union, join
 from .spectral import check_class
 
 
 def complete_graph(n: int) -> Graph:
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return complement(Graph(n))
+    return complement(Graph(as_count(n, "n")))
 
 
 def path(n: int) -> Graph:
@@ -34,15 +32,13 @@ def cycle(n: int) -> Graph:
 
 def star(s: int) -> Graph:
     """K_{1,s}: center 0, leaves 1..s."""
-    if s < 0:
-        raise ValueError("leaf count must be non-negative")
+    s = as_count(s, "leaf count")
     return Graph(s + 1, [(0, i) for i in range(1, s + 1)])
 
 
 def matching(t: int) -> Graph:
     """t disjoint edges (2j, 2j+1) on 2t vertices."""
-    if t < 0:
-        raise ValueError("edge count must be non-negative")
+    t = as_count(t, "edge count")
     return Graph(2 * t, [(2 * j, 2 * j + 1) for j in range(t)])
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
-from .graph import Graph, as_integer, bits
+from .graph import Graph, as_count, as_integer, bits
 from .matching import _max_matching_adj
 
 Pair = tuple[tuple[int, ...], tuple[int, ...]]
@@ -182,10 +182,7 @@ def has_f_factor(g: Graph, spec: Sequence[int]) -> FactorReport:
 
 def k_factor(g: Graph, k: int) -> FactorReport:
     """Spanning k-regular subgraph query; deficiency is filled in either way."""
-    k = as_integer(k, "k")
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    return has_f_factor(g, [k] * g.n)
+    return has_f_factor(g, [as_count(k, "k")] * g.n)
 
 
 def is_k_critical(g: Graph, k: int) -> bool:

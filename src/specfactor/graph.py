@@ -21,6 +21,14 @@ def as_integer(x, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {x!r}") from None
 
 
+def as_count(x, name: str) -> int:
+    """x as a non-negative int, by `as_integer` plus the sign check."""
+    x = as_integer(x, name)
+    if x < 0:
+        raise ValueError(f"{name} must be non-negative")
+    return x
+
+
 def bits(mask: int) -> Sequence[int]:
     """Indices of the set bits of a non-negative mask, ascending: a tuple from
     two byte tables below 2**16, else a fresh list built from the top bit down."""
@@ -47,8 +55,7 @@ class Graph:
     __slots__ = ("n", "_rows")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
+        n = as_count(n, "vertex count")
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -103,18 +110,9 @@ class Graph:
         # one more on CPython's size-n free list (up to 2000): peak RSS creeps
         return tuple([r.bit_count() for r in self._rows])
 
-    def max_degree(self) -> int:
-        return max((r.bit_count() for r in self._rows), default=0)
-
     @property
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self._rows) // 2
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self._rows[u] >> v) & 1)
-
-    def neighbors(self, v: int) -> Sequence[int]:
-        return bits(self._rows[v])
 
     def edges(self) -> list[tuple[int, int]]:
         return [

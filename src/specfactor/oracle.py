@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Graph, as_integer, bits, component_masks, vertex_mask
+from .graph import Graph, as_count, bits, component_masks, vertex_mask
 
 # the uint16 pair tables cover exactly n <= 16; a 3^16 sweep is about 43
 # million pairs
@@ -79,9 +79,7 @@ def _tau(g: Graph, k: int, smask: int, tmask: int) -> int:
 
 
 def _check_k(k) -> int:
-    k = as_integer(k, "k")
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    k = as_count(k, "k")
     if k > _MAX_K:
         raise ValueError(f"k must be at most {_MAX_K}")
     return k

@@ -23,7 +23,7 @@ from .constructions import (
 )
 from .corpus import random_class_member
 from .factors import is_k_critical, k_factor
-from .graph import Graph, as_integer, bits, component_masks, induced_subgraph, vertex_mask
+from .graph import Graph, as_count, as_integer, bits, component_masks, induced_subgraph, vertex_mask
 from .graph6 import to_graph6
 from .oracle import delta
 from .spectral import (
@@ -113,9 +113,7 @@ def _minimality_campaign(
     threshold, extremal: Graph, family: str, r: int, m: int, samples: int, seed: int
 ) -> CampaignReport:
     """Shared body: extremal member attains the threshold, samples stay above."""
-    samples = as_integer(samples, "samples")
-    if samples < 0:
-        raise ValueError("samples must be non-negative")
+    samples = as_count(samples, "samples")
     report = CampaignReport(
         corpus=f"extremal member plus {samples} sampled {family}-family members "
         f"(r={r}, m={m}, seed={seed})"

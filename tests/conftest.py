@@ -75,7 +75,7 @@ def naive_delta_f(g: Graph, f, s: tuple[int, ...], t: tuple[int, ...]) -> int:
         if (e_to_t + sum(f[v] for v in comp)) % 2 == 1:
             tau += 1
     degree_sum = sum(
-        sum(1 for w in g.neighbors(x) if w not in sset) for x in t
+        sum(1 for w in bits(g.row(x)) if w not in sset) for x in t
     )
     return sum(f[v] for v in s) + degree_sum - sum(f[v] for v in t) - tau
 
@@ -220,9 +220,14 @@ def reference_f_factor(g: Graph, f) -> tuple[bool, int]:
     return defect == 0, defect
 
 
+def adjacency_lists(g: Graph) -> list[list[int]]:
+    """Neighbors of each vertex, ascending."""
+    return [list(bits(row)) for row in g.rows]
+
+
 def max_matching(g: Graph) -> list[tuple[int, int]]:
     """Edges of a maximum matching of g, each pair sorted, list sorted."""
-    adj = [list(g.neighbors(v)) for v in range(g.n)]
+    adj = adjacency_lists(g)
     match = [-1] * g.n
     _max_matching_adj(g.n, adj, match)
     return sorted((v, match[v]) for v in range(g.n) if match[v] > v)

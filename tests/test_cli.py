@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 import math
@@ -273,6 +274,13 @@ def test_usage_errors_name_the_parsed_command(capsys):
     assert env["command"] == "?"
 
 
+def test_missing_command_names_its_dest(capsys):
+    code, env, err = run_cli(capsys)
+    assert code == 1 and "usage error" in err.err
+    assert env["command"] == "?"
+    assert env["payload"]["error"] == "the following arguments are required: command"
+
+
 def test_bad_flags_exit_one(capsys):
     code = main(["threshold", "--family", "rho9", "--r", "4", "--m", "2"])
     out = capsys.readouterr()
@@ -383,6 +391,13 @@ def test_human_rendering(capsys):
     assert not out.out.strip().startswith("{")
 
 
+def test_human_flag_may_follow_the_subcommand(capsys):
+    code = main(["spectrum", "D~{", "--human"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.startswith("command: spectrum\n")
+
+
 def test_human_rendering_numbers_lists_of_containers(capsys):
     assert main(["--human", "factor", "--k", "1", "Cl"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -422,3 +437,17 @@ def test_stdout_bytes_unchanged(capsys):
     assert len(cases) >= 25
     for argv, code, out in cases:
         assert (main(argv), capsys.readouterr().out) == (code, out), argv
+
+
+def _leaf_commands(parser) -> list[str]:
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        return [parser.prog.partition(" ")[2]]
+    return [name for a in groups for p in a.choices.values() for name in _leaf_commands(p)]
+
+
+def test_every_leaf_command_has_golden_bytes():
+    leaves = _leaf_commands(cli._build_parser())
+    assert len(leaves) == 19
+    covered = {" ".join(argv[: len(leaf.split())]) for argv, _, _ in _golden_cases() for leaf in leaves}
+    assert [leaf for leaf in leaves if leaf not in covered] == []

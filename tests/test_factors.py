@@ -29,10 +29,16 @@ from specfactor.factors import (
     k_factor,
 )
 from specfactor import factors, matching
-from specfactor.graph import Graph, join
+from specfactor.graph import Graph, bits, join
 from specfactor.oracle import STPair, brute_force_deficiency, delta
 
-from conftest import naive_delta_f, random_graph, reference_f_factor, reference_is_k_critical
+from conftest import (
+    adjacency_lists,
+    naive_delta_f,
+    random_graph,
+    reference_f_factor,
+    reference_is_k_critical,
+)
 
 import pytest
 
@@ -135,7 +141,7 @@ def test_factor_certificate_meets_degrees():
         found += 1
         degs = [0] * g.n
         for u, v in rep.edges:
-            assert g.has_edge(u, v)
+            assert g.row(u) >> v & 1
             degs[u] += 1
             degs[v] += 1
         assert degs == [k] * g.n
@@ -177,7 +183,7 @@ def test_max_bounded_subgraph_respects_caps():
     assert barrier is None  # every cap is met
     degs = [0] * 5
     for u, v in edges:
-        assert g.has_edge(u, v)
+        assert g.row(u) >> v & 1
         degs[u] += 1
         degs[v] += 1
     assert all(d <= c for d, c in zip(degs, caps))
@@ -216,7 +222,7 @@ def test_f_factor_agrees_with_edge_subset_reference(connected_by_n):
                     if exists:
                         degs = [0] * n
                         for u, v in rep.edges:
-                            assert g.has_edge(u, v)
+                            assert g.row(u) >> v & 1
                             degs[u] += 1
                             degs[v] += 1
                         assert degs == f
@@ -363,7 +369,7 @@ def test_gadget_start_is_a_greedy_bounded_subgraph():
         for v in range(g.n):
             assert ends_of[v] == [p if u == v else q for u, w, p, q in links if v in (u, w)]
             assert all(adj[s] == ends_of[v] for s in slots_of[v])
-            kinds = {slots[w] == 1 == slots[v] for w in g.neighbors(v)}
+            kinds = {slots[w] == 1 == slots[v] for w in bits(g.row(v))}
             mixed += len(kinds) == 2
         # start is a matching of the gadget
         assert all(start[start[v]] == v and start[v] in adj[v] for v in range(len(adj)) if start[v] != -1)
@@ -394,7 +400,7 @@ def test_k1_gadget_is_the_graph(connected_by_n):
         for g in connected_by_n[n]:
             _, adj, ends_of, slots_of, _ = factors._gadget(g, [1] * n)
             assert len(adj) == n
-            assert adj == ends_of == [list(g.neighbors(v)) for v in range(n)]
+            assert adj == ends_of == adjacency_lists(g)
             assert slots_of == [range(v, v + 1) for v in range(n)]
     # K1's one vertex has no slot
     assert factors._gadget(Graph(1), [1])[1] == []
@@ -409,7 +415,7 @@ def test_gadgets_mixing_joined_and_edge_node_edges_agree_with_references():
         g = random_graph(rng.randrange(3, 9), rng.uniform(0.3, 0.8), rng)
         caps = [rng.randrange(0, 3) for _ in range(g.n)]
         slots = [min(c, d) for c, d in zip(caps, g.degrees())]
-        kinds = [{slots[w] == 1 for w in g.neighbors(v)} for v in range(g.n) if slots[v] == 1]
+        kinds = [{slots[w] == 1 for w in bits(g.row(v))} for v in range(g.n) if slots[v] == 1]
         # the edge-subset reference holds 2^e degree rows
         if {True, False} not in kinds or g.edge_count > 14:
             continue
@@ -421,7 +427,7 @@ def test_gadgets_mixing_joined_and_edge_node_edges_agree_with_references():
             assert len(set(rep.edges)) == len(rep.edges)
             degs = [0] * g.n
             for u, v in rep.edges:
-                assert g.has_edge(u, v)
+                assert g.row(u) >> v & 1
                 degs[u] += 1
                 degs[v] += 1
             assert degs == caps

@@ -36,14 +36,16 @@ def test_lowest_set_bit_idiom_only_in_graph_bits():
 
 
 def test_each_input_rule_is_stated_once():
-    # graph.as_integer is the one integer rule and spectral.check_class the
-    # one statement of each class domain; the rest call them
+    # graph.as_integer is the one integer rule, graph.as_count the one sign
+    # rule and spectral.check_class the one statement of each class domain;
+    # the rest call them
     texts = {
         path.name: path.read_text()
         for path in sorted(Path(specfactor.__file__).parent.glob("*.py"))
     }
     assert [name for name, text in texts.items() if "operator.index" in text] == ["graph.py"]
     for rule in (
+        "must be non-negative",
         "m must be even with 2 <= m <= r+1",
         "m must satisfy 1 <= m <= r+1 and m == r (mod 2)",
     ):
@@ -62,6 +64,7 @@ _NON_INTEGER_CALLS = [
     (theorems.classify_hypothesis, (4, 1.0, 4), "k"),
     (theorems.verify_thm_3_2, (4, 1, 4.0, [constructions.complete_graph(5)]), "m"),
     (theorems.check_lemma_3_1, (constructions.petersen(), "1", 2), "k"),
+    (constructions.star, (2.5,), "leaf count"),
 ]
 
 

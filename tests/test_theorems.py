@@ -118,7 +118,7 @@ def test_odd_family_m2_class_minimum_is_the_construction(connected_by_n):
     def members(n):
         return [
             g for g in connected_by_n[n]
-            if g.max_degree() <= 4 and 2 * g.edge_count == 4 * n - 2
+            if max(g.degrees()) <= 4 and 2 * g.edge_count == 4 * n - 2
         ]
 
     root_q = largest_root(cubic_family("Q", 4))
