@@ -5,6 +5,9 @@ Every invocation prints exactly one JSON envelope on stdout:
     {"command": ..., "status": "ok"|"error"|"counterexample",
      "payload": ..., "version": ...}
 
+The one exception is --help, which prints argparse's usage text instead,
+with no envelope, and exits 0.
+
 Diagnostics go to stderr.  Exit codes: 0 ok, 1 usage or domain error,
 2 counterexample found (verify subcommands only).  Floats are rounded to
 12 significant digits, and those below 1e-12 in magnitude print as 0.0, so
@@ -113,19 +116,24 @@ def _graph6s(graphs: list[Graph]):
     return {"count": len(graphs), "graphs": [to_graph6(g) for g in graphs]}, "ok"
 
 
+def _capped(name: str, size: int) -> int:
+    """size, from flag --name; refused if the graph it asks for exceeds the order cap."""
+    cap = spectral.MAX_ORDER
+    if size > cap:
+        raise ValueError(f"--{name} gives {size} or more vertices, above the cap of {cap}")
+    return size
+
+
 def _extremal(args):
     params = {k: getattr(args, k) for k in ("n", "r", "m") if getattr(args, k) is not None}
     if args.lengths:
         params["lengths"] = _int_list(args.lengths)
-    # a family's order is at least each parameter it reads, so refuse what
-    # eigenvalues would before building it
-    cap = spectral.MAX_ORDER
+    # a family's order is at least each parameter it reads
     for name in constructions.parameters(args.family):
         size = params.get(name) or 0
         if isinstance(size, tuple):  # a cycle layout
             size = sum(map(abs, size))
-        if size > cap:
-            raise ValueError(f"--{name} gives {size} or more vertices, above the cap of {cap}")
+        _capped(name, size)
     g = constructions.build(args.family, **params)
     lambda1 = spectral.eigenvalues(g)[0] if g.n else None
     return {
@@ -175,7 +183,9 @@ def _ordering(args):
 
 
 def _build_parser() -> _Parser:
-    top = _Parser(prog="specfactor", description=__doc__.splitlines()[0])
+    # no abbreviations at the top, which would claim a leaf's "--h" for its own
+    # --help and --human before the leaf parser (and its name) is reached
+    top = _Parser(prog="specfactor", description=__doc__.splitlines()[0], allow_abbrev=False)
     human_help = "plain text instead of JSON"
     top.add_argument("--human", action="store_true", help=human_help)
     sub = top.add_subparsers(dest="command", required=True)
@@ -241,10 +251,11 @@ def _build_parser() -> _Parser:
     leaf(gsub, "regular", "all connected r-regular graphs on n vertices",
          lambda a: _graph6s(corpus.enumerate_connected_regular(a.n, a.r)), "n", "r")
     leaf(gsub, "random-regular", "one pairing-model regular graph",
-         lambda a: _graph6s([corpus.random_regular(a.n, a.r, a.seed)]), "n", "r", "seed", seed=0)
+         lambda a: _graph6s([corpus.random_regular(_capped("n", a.n), a.r, a.seed)]),
+         "n", "r", "seed", seed=0)
+    member = lambda a: corpus.random_class_member(_capped("r", a.r), a.m, a.parity, a.seed)
     q = leaf(gsub, "class-member", "one sampled irregular class member",
-             lambda a: _graph6s([corpus.random_class_member(a.r, a.m, a.parity, a.seed)]),
-             "r", "m", "seed", seed=0)
+             lambda a: _graph6s([member(a)]), "r", "m", "seed", seed=0)
     q.add_argument("--parity", choices=["even", "odd"], default="even")
     return top
 

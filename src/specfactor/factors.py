@@ -41,12 +41,9 @@ class FactorReport:
 
 
 def _normalize_spec(g: Graph, spec: Sequence[int]) -> list[int]:
-    f = [as_integer(x, f"degree spec at vertex {v}") for v, x in enumerate(spec)]
+    f = [as_count(x, f"degree spec at vertex {v}") for v, x in enumerate(spec)]
     if len(f) != g.n:
         raise ValueError("degree spec length must equal vertex count")
-    for v, fv in enumerate(f):
-        if fv < 0:
-            raise ValueError(f"degree spec is negative at vertex {v}")
     return f
 
 

@@ -27,6 +27,7 @@ from .graph import Graph, as_count, as_integer, bits, component_masks, induced_s
 from .graph6 import to_graph6
 from .oracle import delta
 from .spectral import (
+    SpectralThreshold,
     _check_order,
     check_class,
     cubic_family,
@@ -97,6 +98,14 @@ class CampaignReport:
     def passed(self) -> bool:
         return not self.counterexamples
 
+    def judge(self, g: Graph, holds: bool) -> None:
+        """Count g inside the hypothesis; keep its graph6 if the conclusion fails."""
+        self.hypothesis_count += 1
+        if holds:
+            self.conclusion_count += 1
+        else:
+            self.counterexamples.append(to_graph6(g))
+
     def to_dict(self) -> dict:
         return {**asdict(self), "passed": self.passed}
 
@@ -109,38 +118,33 @@ def _margin_stats(margins: list[float]) -> dict[str, float]:
     }
 
 
+def _campaign_report(corpus: str, tested: int, threshold: SpectralThreshold) -> CampaignReport:
+    """An empty report whose details open with the threshold it judges against."""
+    details = {"threshold": threshold.value, "threshold_kind": threshold.kind}
+    return CampaignReport(corpus=corpus, tested=tested, details=details)
+
+
 def _minimality_campaign(
     threshold, extremal: Graph, family: str, r: int, m: int, samples: int, seed: int
 ) -> CampaignReport:
     """Shared body: extremal member attains the threshold, samples stay above."""
     samples = as_count(samples, "samples")
-    report = CampaignReport(
-        corpus=f"extremal member plus {samples} sampled {family}-family members "
-        f"(r={r}, m={m}, seed={seed})"
+    report = _campaign_report(
+        f"extremal member plus {samples} sampled {family}-family members "
+        f"(r={r}, m={m}, seed={seed})",
+        samples + 1, threshold,
     )
     ext_lam1 = eigenvalues(extremal)[0]
     attained = abs(ext_lam1 - threshold.value) <= _TOL
     margins = [ext_lam1 - threshold.value]
-    report.tested += 1
-    report.hypothesis_count += 1
-    if attained:
-        report.conclusion_count += 1
-    else:
-        report.counterexamples.append(to_graph6(extremal))
+    report.judge(extremal, attained)
     for i in range(samples):
         g = random_class_member(r, m, family, seed * 1_000_003 + i + 1)
         lam1 = eigenvalues(g)[0]
         margins.append(lam1 - threshold.value)
-        report.tested += 1
-        report.hypothesis_count += 1
-        if lam1 >= threshold.value - _TOL:
-            report.conclusion_count += 1
-        else:
-            report.counterexamples.append(to_graph6(g))
+        report.judge(g, lam1 >= threshold.value - _TOL)
     report.margins = _margin_stats(margins)
-    report.details = {
-        "threshold": threshold.value,
-        "threshold_kind": threshold.kind,
+    report.details |= {
         "extremal_lambda1": ext_lam1,
         "extremal_attained": attained,
         "extremal_graph6": to_graph6(extremal),
@@ -168,7 +172,7 @@ def verify_thm_2_2(r: int, m: int, samples: int, seed: int = 0) -> CampaignRepor
     return _minimality_campaign(threshold, g, "odd", r, m, samples, seed)
 
 
-def _regular_campaign(r: int, k: int, threshold: float, corpus):
+def _regular_campaign(r: int, k: int, threshold: SpectralThreshold, corpus):
     """Shared loop of theorems 3.2 and 3.3 over connected r-regular graphs.
 
     The hypothesis is lambda < threshold, with lambda = lambda2 on odd
@@ -185,24 +189,18 @@ def _regular_campaign(r: int, k: int, threshold: float, corpus):
             raise ValueError("corpus graphs must be connected and non-empty")
         if not (g.is_regular() and g.degree(0) == r):
             raise ValueError(f"corpus graphs must be {r}-regular")
-    report = CampaignReport(
-        corpus=f"supplied corpus of {len(graphs)} connected {r}-regular graphs"
+    report = _campaign_report(
+        f"supplied corpus of {len(graphs)} connected {r}-regular graphs", len(graphs), threshold
     )
     margins = []
     outside = []
     for g in graphs:
         spec = eigenvalues(g)
-        report.tested += 1
         odd = g.n % 2 == 1
         lam = spec[1] if odd else spec[2]
-        margins.append(lam - threshold)
-        if lam < threshold - _TOL:
-            report.hypothesis_count += 1
-            ok = is_k_critical(g, k) if odd else k_factor(g, k).exists
-            if ok:
-                report.conclusion_count += 1
-            else:
-                report.counterexamples.append(to_graph6(g))
+        margins.append(lam - threshold.value)
+        if lam < threshold.value - _TOL:
+            report.judge(g, is_k_critical(g, k) if odd else k_factor(g, k).exists)
         else:
             outside.append((lam, g))
     report.margins = _margin_stats(margins)
@@ -219,12 +217,10 @@ def verify_thm_3_2(r: int, k: int, m: int, corpus) -> CampaignReport:
         raise ValueError("need r even, k odd and r <= k*m <= r*(m-1)")
     m0 = profile.m0
     threshold = rho1(r, m0 - 1)
-    report, _ = _regular_campaign(r, k, threshold.value, corpus)
+    report, _ = _regular_campaign(r, k, threshold, corpus)
     # r even and m0 odd, so rho2(r, m0 - 1) is always defined
     rho2_same = rho2(r, m0 - 1).value
-    report.details = {
-        "threshold": threshold.value,
-        "threshold_kind": threshold.kind,
+    report.details |= {
         "m0": m0,
         "rho2_at_same_args": rho2_same,
         # the companion claim min{rho1, rho2}(r, m0-1) = rho1(r, m0-1),
@@ -240,27 +236,22 @@ def verify_thm_3_3(r: int, k: int, m: int, corpus) -> CampaignReport:
     if profile.condition not in ("ii", "iii"):
         raise ValueError("need r odd and condition (ii) or (iii) to hold")
     if m % 2 == 1:
-        stated = rho1_value(r, m - 1)
-        stated_kind = "closed-form-even"
+        threshold = SpectralThreshold(rho1_value(r, m - 1), "closed-form-even", r, m - 1)
     else:
-        t = rho2(r, m - 1)
-        stated, stated_kind = t.value, t.kind
-    report, outside = _regular_campaign(r, k, stated, corpus)
-    no_factor_lam3 = [lam for lam, g in outside if not k_factor(g, k).exists]
-    variants = {f"{'rho1' if m % 2 == 1 else 'rho2'}(r,m-1)": stated}
+        threshold = rho2(r, m - 1)
+    report, outside = _regular_campaign(r, k, threshold, corpus)
+    variants = {f"{'rho1' if m % 2 == 1 else 'rho2'}(r,m-1)": threshold.value}
     if m % 2 == 1:  # m = 1 meets neither condition (ii) nor (iii)
         variants["rho2(r,m-2)"] = rho2(r, m - 2).value
-    supported = {
-        name: all(lam >= value - _TOL for lam in no_factor_lam3)
-        for name, value in variants.items()
-    }
-    report.details = {
-        "threshold": stated,
-        "threshold_kind": stated_kind,
+    # no graph outside lies below the stated threshold, so only a lower variant queries factors
+    report.details |= {
         "condition": profile.condition,
         "m_star": profile.m_star,
         "variants": variants,
-        "variant_supported_by_data": supported,
+        "variant_supported_by_data": {
+            name: not any(lam < value - _TOL and not k_factor(g, k).exists for lam, g in outside)
+            for name, value in variants.items()
+        },
     }
     return report
 
@@ -335,20 +326,12 @@ def ordering_report(r: int) -> dict:
         name: largest_root(cubic_family(name, r)) for name in ("f1", "f2", "f3")
     }
     order = sorted(roots, key=roots.get)
-    attained = {
-        "two_p3_matches_f2": abs(
-            quotient_eigenvalues(aux_two_p3(r), aux_two_p3_parts(r))[0] - roots["f2"]
-        )
-        <= _TOL,
-        "claw_matches_f3": abs(
-            quotient_eigenvalues(aux_claw(r), aux_claw_parts(r))[0] - roots["f3"]
-        )
-        <= _TOL,
-        "odd_m2_matches_f1": abs(
-            eigenvalues(extremal_odd_m2(r))[0] - roots["f1"]
-        )
-        <= _TOL,
-    }
+    triples = (
+        ("two_p3_matches_f2", quotient_eigenvalues(aux_two_p3(r), aux_two_p3_parts(r))[0], "f2"),
+        ("claw_matches_f3", quotient_eigenvalues(aux_claw(r), aux_claw_parts(r))[0], "f3"),
+        ("odd_m2_matches_f1", eigenvalues(extremal_odd_m2(r))[0], "f1"),
+    )
+    attained = {name: abs(lam1 - roots[root]) <= _TOL for name, lam1, root in triples}
     return {
         "r": r,
         "roots": roots,

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from specfactor import cli
+from specfactor import cli, corpus
 from specfactor.cli import main
 from specfactor.constructions import cycle
 from specfactor.graph import Graph
@@ -274,6 +274,25 @@ def test_usage_errors_name_the_parsed_command(capsys):
     assert env["command"] == "?"
 
 
+def test_abbreviated_leaf_option_names_the_leaf(capsys):
+    # the top parser takes no abbreviations, so "--h" reaches the leaf, which
+    # finds it ambiguous and names itself
+    code, env, err = run_cli(capsys, "spectrum", "--h", "D~{")
+    assert code == 1 and "usage error" in err.err
+    assert env["command"] == "spectrum"
+    assert env["payload"]["error"] == "ambiguous option: --h could match --help, --human"
+    # a leaf still expands its own unique prefixes
+    code, env, _ = run_cli(capsys, "verify", "thm2.1", "--r", "4", "--m", "2", "--sam", "1")
+    assert code == 0 and env["payload"]["tested"] == 2
+
+
+def test_help_prints_usage_without_an_envelope(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: specfactor")
+
+
 def test_missing_command_names_its_dest(capsys):
     code, env, err = run_cli(capsys)
     assert code == 1 and "usage error" in err.err
@@ -305,6 +324,24 @@ def test_gen_class_member_deterministic(capsys):
     assert code == code2 == 0
     assert env1 == env2
     assert env1["payload"]["count"] == 1
+
+
+def test_gen_samplers_refuse_orders_above_the_cap_before_sampling(capsys, monkeypatch):
+    sampled = []
+    monkeypatch.setattr(corpus, "random_regular", lambda *a: sampled.append(a) or Graph(1, []))
+    monkeypatch.setattr(corpus, "random_class_member", lambda *a: sampled.append(a) or Graph(1, []))
+    for argv, flag in (
+        (("random-regular", "--n", "2049", "--r", "3"), "--n"),
+        (("class-member", "--r", "2049", "--m", "2"), "--r"),
+    ):
+        code, env, _ = run_cli(capsys, "gen", *argv)
+        assert code == 1 and env["status"] == "error"
+        assert env["payload"]["error"] == f"{flag} gives 2049 or more vertices, above the cap of 2048"
+    assert sampled == []
+    # the cap itself is sampled
+    assert run_cli(capsys, "gen", "random-regular", "--n", "2048", "--r", "3")[0] == 0
+    assert run_cli(capsys, "gen", "class-member", "--r", "2048", "--m", "2")[0] == 0
+    assert sampled == [(2048, 3, 0), (2048, 2, "even", 0)]
 
 
 def test_verify_ordering_ok(capsys):

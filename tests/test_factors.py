@@ -89,7 +89,7 @@ def test_demand_above_degree_is_infeasible_not_an_error():
 
 @pytest.mark.parametrize("spec,message", [
     ([1, 1], "length must equal vertex count"),
-    ([1, -1, 1], "negative at vertex 1"),
+    ([1, -1, 1], "vertex 1 must be non-negative"),
     ([1.9, 1, 1], "vertex 0 must be an integer, got 1.9"),
     ([1, "2", 1], "vertex 1 must be an integer, got '2'"),
     ([1, 1, None], "vertex 2 must be an integer, got None"),

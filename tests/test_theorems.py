@@ -314,6 +314,25 @@ def test_odd_r_campaign_judges_graphs_outside_the_hypothesis(monkeypatch):
     assert rep.details["variant_supported_by_data"] == {"rho1(r,m-1)": True, "rho2(r,m-2)": False}
 
 
+def test_variant_check_queries_factors_only_below_a_variant(monkeypatch):
+    # the witness sits on the stated threshold and below neither variant, so
+    # judging the variants needs no factor query at all
+    w = _three_blob_vehicle()
+    calls = []
+
+    def counted(g, k):
+        calls.append((g.n, k))
+        return k_factor(g, k)
+
+    monkeypatch.setattr(theorems, "k_factor", counted)
+    for k, m, supported in ((1, 2, {"rho2(r,m-1)": True}),
+                            (2, 3, {"rho1(r,m-1)": True, "rho2(r,m-2)": True})):
+        rep = verify_thm_3_3(3, k, m, [w])
+        assert rep.hypothesis_count == 0 and rep.passed
+        assert rep.details["variant_supported_by_data"] == supported
+    assert calls == []
+
+
 _VEHICLE_BLOBS = ((0, 1, 2, 3, 4), (5, 6, 7, 8, 9), (10, 11, 12, 13, 14))
 
 
