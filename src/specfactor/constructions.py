@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .graph import Graph, as_count, complement, disjoint_union, join
+from .graph import Graph, as_count, as_integer, complement, disjoint_union, join
 from .spectral import check_class
 
 
@@ -18,6 +18,7 @@ def complete_graph(n: int) -> Graph:
 
 def path(n: int) -> Graph:
     """Path 0-1-...-(n-1)."""
+    n = as_integer(n, "n")
     if n < 1:
         raise ValueError("path needs at least one vertex")
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
@@ -25,6 +26,7 @@ def path(n: int) -> Graph:
 
 def cycle(n: int) -> Graph:
     """Cycle 0-1-...-(n-1)-0."""
+    n = as_integer(n, "n")
     if n < 3:
         raise ValueError("cycle needs at least three vertices")
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
@@ -88,7 +90,7 @@ def extremal_odd_m3(r: int, m: int, cycle_lengths: Sequence[int] | None = None) 
     The cycle layout defaults to a single m-cycle; any partition of m into
     cycle lengths >= 3 is accepted and gives the same degree profile.
     """
-    if m < 3:
+    if as_integer(m, "m") < 3:
         raise ValueError("m must be at least 3")
     check_class(r, m, "odd")
     if cycle_lengths is None:

@@ -24,7 +24,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .graph import Graph, bits, complement, component_masks
+from .graph import Graph, as_integer, bits, complement, component_masks
 from .canon import canonical_key, canonical_labeling  # noqa: F401 (traced by perfbench)
 from .spectral import check_class
 
@@ -39,6 +39,7 @@ _regular_cache: dict[tuple[int, int], list[Graph]] = {}
 
 def enumerate_connected_graphs(n: int) -> list[Graph]:
     """All connected simple graphs on n vertices, one per isomorphism class."""
+    n = as_integer(n, "n")
     if not 1 <= n <= _MAX_CONNECTED_N:
         raise ValueError(f"enumeration capped at 1 <= n <= {_MAX_CONNECTED_N}")
     if n in _connected_cache:
@@ -104,19 +105,21 @@ def _triangle_key(g: Graph) -> tuple:
     return canonical_key(g, [sum((g.rows[u] & r).bit_count() for u in bits(r)) // 2 for r in g.rows])
 
 
-def _check_regular(n: int, r: int) -> None:
-    """Refuse (n, r) with no r-regular graph on n vertices."""
+def _check_regular(n: int, r: int) -> tuple[int, int]:
+    """(n, r) as integers; refuse a pair with no r-regular graph on n vertices."""
+    n, r = as_integer(n, "n"), as_integer(r, "r")
     if not 0 <= r < n:
         raise ValueError("regularity must satisfy 0 <= r < n")
     if (n * r) % 2 != 0:
         raise ValueError("n*r must be even")
+    return n, r
 
 
 def enumerate_connected_regular(n: int, r: int) -> list[Graph]:
     """All connected r-regular simple graphs on n vertices up to isomorphism."""
-    if not 1 <= n <= _MAX_REGULAR_N:
+    if not 1 <= as_integer(n, "n") <= _MAX_REGULAR_N:
         raise ValueError(f"enumeration capped at 1 <= n <= {_MAX_REGULAR_N}")
-    _check_regular(n, r)
+    n, r = _check_regular(n, r)
     cache_key = (n, r)
     if cache_key in _regular_cache:
         return _regular_cache[cache_key]
@@ -157,10 +160,10 @@ def random_regular(n: int, r: int, seed: int) -> Graph:
     non-adjacent vertices have r + r >= n > n - 2 neighbours among the other
     n - 2 vertices, so they share one.
     """
-    _check_regular(n, r)
+    n, r = _check_regular(n, r)
     if r < 2 and n > r + 1:
         raise ValueError(f"no connected {r}-regular graph on {n} vertices exists")
-    rng = random.Random(seed)
+    rng = random.Random(as_integer(seed, "seed"))
     dense = 2 * r >= n
     g = _pair_degrees([n - 1 - r if dense else r] * n, rng, _TRIES, connected=not dense)
     if g is None:
@@ -232,7 +235,7 @@ def random_class_member(r: int, m: int, parity: str, seed: int) -> Graph:
     """
     check_class(r, m, parity)
     want = r % 2 if parity == "odd" else (r + 1) % 2
-    rng = random.Random(seed)
+    rng = random.Random(as_integer(seed, "seed"))
     first = r + 1 if (r + 1) % 2 == want else r + 2
     n_choices = range(first, r + 16, 2)
     lo = 2 if m % 2 == 0 else 1

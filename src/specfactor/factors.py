@@ -7,15 +7,13 @@ maximum matching yields a maximum subgraph with deg(v) <= f(v), of size nu;
 def = sum(f) - 2*nu, and at def = 0 that subgraph is an f-factor.  At
 k = 1 the gadget is the graph itself.
 
-At def > 0 the missable marks of the same matching give the canonical
-Tutte pair (S, T) with delta_f(S, T) = -def (Lovasz, JCT 8, 1970; Lovasz
-& Plummer, Matching Theory, ch. 10); for f = k, `oracle.delta` checks it.
-
-k-criticality answers all 2n near-factor queries (f = k but k +- 1 at one
-vertex) from one matching of the k-gadget and the missable nodes that the
-same pass returns; `is_k_critical` gives the rule and why it is exact (a
-vertex's slot nodes are twins, and with f <= d an f-factor is a perfect
-matching of the f-gadget).
+At def > 0 the missable marks of the same matching make each vertex low,
+high, both or neither (see `_bounded_subgraph`), and every answer is read
+from those two sets.  S = high - low and T = low - high is the canonical
+Tutte pair, with delta_f(S, T) = -def (Lovasz, JCT 8, 1970; Lovasz &
+Plummer, Matching Theory, ch. 10); for f = k, `oracle.delta` checks it.
+`is_k_critical` answers all 2n near-factor queries (f = k but k +- 1 at
+one vertex) from the same reading at f = k.
 """
 
 from __future__ import annotations
@@ -106,20 +104,23 @@ def _gadget(
     return links, adj, ends_of, slots_of, start
 
 
-def _bounded_subgraph(g: Graph, caps: Sequence[int]) -> tuple[list[tuple[int, int]], Pair | None]:
-    """Edges of a maximum subgraph with deg(v) <= caps[v] for every v, and
-    its Tutte pair (S, T) when it misses some cap (else None).
+def _bounded_subgraph(g: Graph, caps: Sequence[int]) -> tuple[list[tuple[int, int]], int, int]:
+    """(picked, low, high): the edges of a maximum subgraph with
+    deg(v) <= caps[v] for every v, and the bitmasks of its low and high
+    vertices when it misses some cap (else both 0).
 
     An edge (u, v, p, q) is taken when p is matched to a slot of u and q to
     a slot of v (for a joined edge: its two slots to each other).  A
     maximum matching never leaves p and q both free, and its taken edges
-    form a maximum bounded subgraph.
+    form a maximum bounded subgraph.  An edge-node pair holds one matching
+    edge more than it adds to picked, so the gadget has
+    sum(min(caps, d)) - 2*|picked| exposed nodes.
 
-    The pair comes from the same matching's missable marks.  v is low
+    low and high come from the same matching's missable marks.  v is low
     (below caps[v] in some optimal subgraph) when caps[v] > d(v) or its
     first slot is marked (slots are twins); v is high when a node of
     ends_of[v] is marked (never when caps[v] >= d(v): such an exposed edge
-    node would meet an exposed slot).  S = high - low, T = low - high.
+    node would meet an exposed slot).
     """
     links, adj, ends_of, slots_of, match = _gadget(g, caps)
     missable = _max_matching_adj(len(adj), adj, match)
@@ -129,17 +130,14 @@ def _bounded_subgraph(g: Graph, caps: Sequence[int]) -> tuple[list[tuple[int, in
             raise RuntimeError("matching not maximum")
         if match[p] in slots_of[u] and match[q] in slots_of[v]:
             picked.append((u, v))
-    if sum(caps) == 2 * len(picked):
-        return picked, None
-    marked = set(missable)
-    s: list[int] = []
-    t: list[int] = []
-    for v, (slots, ends) in enumerate(zip(slots_of, ends_of)):
-        low = len(slots) < caps[v] or not marked.isdisjoint(slots[:1])
-        high = not marked.isdisjoint(ends)
-        if high != low:
-            (s if high else t).append(v)
-    return picked, (tuple(s), tuple(t))
+    low = high = 0
+    if sum(caps) != 2 * len(picked):
+        for v, (slots, ends) in enumerate(zip(slots_of, ends_of)):
+            if len(slots) < caps[v] or slots and slots[0] in missable:
+                low |= 1 << v
+            if not missable.isdisjoint(ends):
+                high |= 1 << v
+    return picked, low, high
 
 
 def deficiency(g: Graph, k: int) -> int:
@@ -155,26 +153,22 @@ def has_f_factor(g: Graph, spec: Sequence[int]) -> FactorReport:
     sum(f) - 2*nu; it is zero exactly when that subgraph has degree f(v)
     at every v, and then the subgraph is the returned factor (some
     f-factor, not a canonical one).  Otherwise barrier holds the canonical
-    Tutte pair, with delta_f(S, T) = -deficiency.
+    Tutte pair S = high - low, T = low - high (see `_bounded_subgraph`),
+    with delta_f(S, T) = -deficiency.
     """
     f = _normalize_spec(g, spec)
-    picked, barrier = _bounded_subgraph(g, f)
+    picked, low, high = _bounded_subgraph(g, f)
     defect = sum(f) - 2 * len(picked)
-    factor: tuple[tuple[int, int], ...] | None = None
-    if defect == 0:
-        factor = tuple(picked)
-        degs = [0] * g.n
-        for u, v in factor:
-            degs[u] += 1
-            degs[v] += 1
-        if degs != f:
-            raise RuntimeError("factor does not meet its degree spec")
-    return FactorReport(
-        exists=factor is not None,
-        edges=factor,
-        deficiency=defect,
-        barrier=barrier,
-    )
+    if defect:
+        barrier = (tuple(bits(high & ~low)), tuple(bits(low & ~high)))
+        return FactorReport(exists=False, edges=None, deficiency=defect, barrier=barrier)
+    degs = [0] * g.n
+    for u, v in picked:
+        degs[u] += 1
+        degs[v] += 1
+    if degs != f:
+        raise RuntimeError("factor does not meet its degree spec")
+    return FactorReport(exists=True, edges=tuple(picked), deficiency=0, barrier=None)
 
 
 def k_factor(g: Graph, k: int) -> FactorReport:
@@ -186,21 +180,20 @@ def is_k_critical(g: Graph, k: int) -> bool:
     """No k-factor, but for every vertex x some spanning subgraph hits
     degree k everywhere except k-1 or k+1 at x.
 
-    Decided from one matching of the k-gadget.  A vertex of degree below k
-    rules out the near-factor at every other vertex, so then only K1 at
-    k = 1 is critical.  Otherwise every cap is k <= d(v), so an f-factor
-    with f <= d exists exactly when the f-gadget has a perfect matching.
-    Lowering f(x) to k-1 deletes one of x's slot nodes, and raising it to
-    k+1 adds one more; x's slot nodes are twins, so which one does not
-    matter.  The k-gadget has an odd number of nodes (so no k-factor), and
-    either change leaves a perfect matching exactly when the k-gadget has
-    one exposed node and, for k-1, a slot node of x is missable (some
-    maximum matching leaves it exposed), or, for k+1, an edge node of x is
-    missable (the new slot takes it).  That edge-node test needs no
-    d(x) > k check: when x has d(x) = k slots, a matching that leaves one
-    of x's edge nodes exposed leaves one of its slots exposed too.  The
-    test reads ends_of[x], where a joined edge's slot carries the mark of
-    the edge node it replaces (see `_gadget`).
+    Decided from the one matching of `_bounded_subgraph` at caps k.  A
+    vertex of degree below k rules out the near-factor at every other
+    vertex, so then only K1 at k = 1 is critical.  Otherwise every cap is
+    k <= d(v), so an f-factor with f <= d exists exactly when the f-gadget
+    has a perfect matching, and the k-gadget has k*n - 2*|picked| exposed
+    nodes.  Lowering f(x) to k-1 deletes one of x's slot nodes, and raising
+    it to k+1 adds one more; x's slot nodes are twins, so which one does
+    not matter.  With k*n odd there is no k-factor, and either change
+    leaves a perfect matching exactly when the k-gadget has one exposed
+    node and x is low (k-1: a slot node of x is missable) or high (k+1: a
+    node of ends_of[x] is missable, which the new slot takes).  The high
+    test needs no d(x) > k check: when x has d(x) = k slots, a matching
+    that leaves one of x's edge nodes exposed leaves one of its slots
+    exposed too.
     """
     k = as_integer(k, "k")
     if k < 1:
@@ -211,11 +204,5 @@ def is_k_critical(g: Graph, k: int) -> bool:
         return False
     if min(g.degrees()) < k:
         return g.n == 1 and k == 1
-    _, adj, ends_of, slots_of, match = _gadget(g, [k] * g.n)
-    missable = set(_max_matching_adj(len(adj), adj, match))
-    if match.count(-1) != 1:
-        return False
-    return all(
-        slots_of[x][0] in missable or any(e in missable for e in ends_of[x])
-        for x in range(g.n)
-    )
+    picked, low, high = _bounded_subgraph(g, [k] * g.n)
+    return k * g.n - 2 * len(picked) == 1 and low | high == (1 << g.n) - 1

@@ -58,6 +58,7 @@ class Graph:
         n = as_count(n, "vertex count")
         rows = [0] * n
         for u, v in edges:
+            u, v = as_integer(u, "edge endpoint"), as_integer(v, "edge endpoint")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
@@ -171,9 +172,10 @@ def join(g: Graph, h: Graph) -> Graph:
 
 
 def vertex_mask(g: Graph, vertices: Iterable[int], label: str) -> int:
-    """Bitmask of a vertex list; a vertex out of range or listed twice is refused."""
+    """Bitmask of a vertex list; a non-integer, out-of-range or repeated vertex is refused."""
     m = 0
     for v in vertices:
+        v = as_integer(v, f"vertex in {label}")
         if not 0 <= v < g.n:
             raise ValueError(f"{label} lists vertex {v} out of range for n={g.n}")
         if m >> v & 1:

@@ -6,7 +6,7 @@ greedy left open need an augmenting search.  Each contracted base keeps
 its member list, so a contraction relabels only the nodes of the bases it
 absorbs: time proportional to the blossom, not to the graph.  The same
 pass returns the Gallai-Edmonds set D (the nodes some maximum matching
-leaves exposed), read off the trees of the searches that fail.
+leaves exposed) as a set, read off the trees of the searches that fail.
 """
 
 from __future__ import annotations
@@ -94,25 +94,24 @@ def _blossom_search(adj: list[list[int]], match: list[int]):
     return find_path, p, q
 
 
-def _max_matching_adj(n: int, adj: list[list[int]], match: list[int]) -> list[int]:
+def _max_matching_adj(n: int, adj: list[list[int]], match: list[int]) -> set[int]:
     """Grow the matching `match` (updated in place) to a maximum one.
 
     match[v] is v's partner or -1; at most one search runs per node the
-    start leaves exposed.  Returns the missable nodes, those some maximum
-    matching leaves exposed (the Gallai-Edmonds set D): the even nodes of
-    every failed search's tree, some of them listed more than once.  A
-    failed search leaves a Hungarian tree that no later augmenting path
-    enters, so its marks hold for the final matching (Edmonds, "Paths,
-    trees, and flowers", 1965).
+    start leaves exposed.  Returns the set of missable nodes, those some
+    maximum matching leaves exposed (the Gallai-Edmonds set D): the even
+    nodes of every failed search's tree.  A failed search leaves a
+    Hungarian tree that no later augmenting path enters, so its marks hold
+    for the final matching (Edmonds, "Paths, trees, and flowers", 1965).
     """
     find_path, p, even = _blossom_search(adj, match)
-    missable: list[int] = []
+    missable: set[int] = set()
     for v in range(n):
         if match[v] != -1:
             continue
         u = find_path(v)
         if u == -1:
-            missable += even
+            missable.update(even)
         while u != -1:
             pv = p[u]
             ppv = match[pv]

@@ -128,7 +128,7 @@ def _minimality_campaign(
     threshold, extremal: Graph, family: str, r: int, m: int, samples: int, seed: int
 ) -> CampaignReport:
     """Shared body: extremal member attains the threshold, samples stay above."""
-    samples = as_count(samples, "samples")
+    samples, seed = as_count(samples, "samples"), as_integer(seed, "seed")
     report = _campaign_report(
         f"extremal member plus {samples} sampled {family}-family members "
         f"(r={r}, m={m}, seed={seed})",
@@ -210,6 +210,7 @@ def _regular_campaign(r: int, k: int, threshold: SpectralThreshold, corpus):
 def verify_thm_3_2(r: int, k: int, m: int, corpus) -> CampaignReport:
     """Regular graphs: small lambda2 (odd order) forces k-criticality, small
     lambda3 (even order) forces a k-factor; threshold rho1(r, m0 - 1)."""
+    m = as_integer(m, "m")
     if m < 3:  # (6, 3, 2) meets condition (i), but rho1(r, m0 - 1) needs m0 >= 3
         raise ValueError("need m >= 3")
     profile = classify_hypothesis(r, k, m, "even")

@@ -179,8 +179,8 @@ def test_agrees_with_subset_sweep(seed):
 def test_max_bounded_subgraph_respects_caps():
     g = complete_graph(5)
     caps = [1, 2, 2, 1, 0]
-    edges, barrier = factors._bounded_subgraph(g, caps)
-    assert barrier is None  # every cap is met
+    edges, low, high = factors._bounded_subgraph(g, caps)
+    assert (low, high) == (0, 0)  # every cap is met
     degs = [0] * 5
     for u, v in edges:
         assert g.row(u) >> v & 1
@@ -191,10 +191,13 @@ def test_max_bounded_subgraph_respects_caps():
     assert len(edges) == 3
     # caps (1,..,1) reduces to maximum matching
     for n in range(2, 8):
-        edges, barrier = factors._bounded_subgraph(complete_graph(n), [1] * n)
+        edges, low, high = factors._bounded_subgraph(complete_graph(n), [1] * n)
         assert len(edges) == n // 2
+        # odd K_n: every vertex is missable, so both low and high
+        full = (1 << n) - 1
+        assert (low, high) == ((0, 0) if n % 2 == 0 else (full, full))
         # odd K_n: the one odd component of G - (empty, empty) is the barrier
-        assert barrier == (None if n % 2 == 0 else ((), ()))
+        assert k_factor(complete_graph(n), 1).barrier == (None if n % 2 == 0 else ((), ()))
 
 
 def _specs(n: int, k: int):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import specfactor
-from specfactor import constructions, corpus, spectral, theorems
+from specfactor import constructions, corpus, graph, oracle, spectral, theorems
 
 
 def test_no_assert_statements_in_package():
@@ -65,6 +65,22 @@ _NON_INTEGER_CALLS = [
     (theorems.verify_thm_3_2, (4, 1, 4.0, [constructions.complete_graph(5)]), "m"),
     (theorems.check_lemma_3_1, (constructions.petersen(), "1", 2), "k"),
     (constructions.star, (2.5,), "leaf count"),
+    (constructions.path, (2.5,), "n"),
+    (constructions.cycle, (3.5,), "n"),
+    (constructions.cycle, ("4",), "n"),
+    (constructions.extremal_odd_m3, (5, 3, [3.0]), "n"),
+    (constructions.extremal_odd_m3, (5, "3"), "m"),
+    (corpus.random_regular, (10.0, 3, 1), "n"),
+    (corpus.enumerate_connected_graphs, (3.0,), "n"),
+    (oracle.delta, (constructions.petersen(), 1, ((0.0,), ())), "vertex in S"),
+    (graph.induced_subgraph, (constructions.petersen(), [0.5]), "vertex in the subgraph"),
+    (graph.Graph, (3, [(0, 1.5)]), "edge endpoint"),
+    (graph.Graph, (3, [("0", 1)]), "edge endpoint"),
+    (theorems.verify_thm_2_1, (4, 2, 1, "a"), "seed"),
+    (corpus.random_class_member, (4, 2, "even", [1]), "seed"),
+    (corpus.random_regular, (10, 3, "x"), "seed"),
+    (theorems.verify_thm_3_2, (4, 1, "4", [constructions.complete_graph(5)]), "m"),
+    (theorems.verify_thm_3_2, (4, 1, None, [constructions.complete_graph(5)]), "m"),
 ]
 
 
